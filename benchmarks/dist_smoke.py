@@ -52,8 +52,16 @@ def _load_baseline():
 
 
 def _latest_entry(entries, cases, depth, frames):
+    """Newest entry this script recorded for the same slice and bounds.
+
+    Other gates append to the same file with matching ``cases``/bounds
+    but digest a different result set (``service_smoke.py --record``
+    hashes one case's one-shot run), so only entries carrying
+    ``tcp_wall_s`` — a field only this script writes — are baselines.
+    """
     for entry in reversed(entries):
-        if entry.get("cases") == cases and entry.get("depth") == depth \
+        if "tcp_wall_s" in entry and entry.get("cases") == cases \
+                and entry.get("depth") == depth \
                 and entry.get("frames") == frames:
             return entry
     return None

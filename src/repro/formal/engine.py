@@ -55,7 +55,7 @@ from typing import Callable, Collection, Dict, List, Optional
 from ..obs import METRICS, TRACER
 from .bmc import SweepTarget, bmc_cover, bmc_safety, bmc_sweep
 from .cnf import Unroller
-from .engines import (ProofContext, available_engines,
+from .engines import (EngineVerdict, ProofContext, available_engines,
                       available_liveness_strategies, get_engine,
                       get_liveness_strategy, prove_with)
 from .liveness import (SAVED_OBSERVABLE, compile_kliveness, compile_liveness,
@@ -230,7 +230,8 @@ class FormalEngine:
         self._live_compilation = None
         self._live_hunt: Optional[Unroller] = None
         # Persistent solvers whose counters feed solver_stats; throwaway
-        # (legacy-mode) solvers fold their counters in and are released.
+        # solvers (proof backends', legacy-mode hunts) fold their counters
+        # in and are released.
         self._tracked_solvers: List = []
         self._folded_stats: Dict[str, float] = {}
 
@@ -239,10 +240,22 @@ class FormalEngine:
         """Register a *persistent* solver whose counters feed solver_stats."""
         self._tracked_solvers.append(solver)
 
-    def _fold_stats(self, solver) -> None:
+    def _fold_stats(self, counters: Dict[str, float]) -> None:
         """Absorb a throwaway solver's counters without keeping it alive."""
-        for key, value in solver.stats.as_dict().items():
+        for key, value in counters.items():
             self._folded_stats[key] = self._folded_stats.get(key, 0) + value
+
+    def _prove(self, engine, system: TransitionSystem, good_lit: int,
+               context: Optional[ProofContext] = None) -> EngineVerdict:
+        """Run a proof backend and fold the counters of its solvers.
+
+        Every proof attempt goes through here, in both orchestrations, so
+        :attr:`solver_stats` (and with it ``CheckReport.solve_time_s``)
+        covers PDR, k-induction and k-liveness solvers, not just the hunt.
+        """
+        verdict = prove_with(engine, system, good_lit, self.config, context)
+        self._fold_stats(verdict.solver_stats)
+        return verdict
 
     @property
     def solver_stats(self) -> Dict[str, float]:
@@ -401,8 +414,8 @@ class FormalEngine:
                       name: str, kind: str, engine,
                       unroller: Unroller) -> PropertyResult:
         """Proof attempt for a property the sweep failed to falsify."""
-        verdict = prove_with(engine, system, assert_lit, self.config,
-                             self._proof_context())
+        verdict = self._prove(engine, system, assert_lit,
+                              self._proof_context())
         if verdict.proven:
             return PropertyResult(name, kind, PROVEN, depth=verdict.depth)
         if verdict.failed:
@@ -455,8 +468,8 @@ class FormalEngine:
         # unreachability is frame-shaped work, so proving engines all go
         # to PDR here regardless of the configured proof engine (matching
         # the pre-registry behaviour for pdr and kind).
-        proof = prove_with(get_engine("pdr"), system, prop.lit ^ 1,
-                           self.config, self._proof_context())
+        proof = self._prove(get_engine("pdr"), system, prop.lit ^ 1,
+                            self._proof_context())
         if proof.proven:
             return PropertyResult(prop.name, "cover", UNREACHABLE,
                                   depth=proof.depth)
@@ -524,7 +537,7 @@ class FormalEngine:
         for rounds in self.config.kliveness_rounds:
             fresh = self._factory()
             bad_k = compile_kliveness(fresh, name, rounds)
-            attempt = engine.prove_invariant(fresh, bad_k ^ 1, self.config)
+            attempt = self._prove(engine, fresh, bad_k ^ 1)
             if attempt.proven:
                 return attempt.depth
             if not attempt.failed:
@@ -543,8 +556,7 @@ class FormalEngine:
                 return PropertyResult(name, "live", PROVEN, depth=depth)
         context = ProofContext(hunt_unroller=unroller,
                                cleared_depth=self.config.max_bound)
-        proof = prove_with(engine, system, bad_lit ^ 1, self.config,
-                           context)
+        proof = self._prove(engine, system, bad_lit ^ 1, context)
         if proof.proven:
             return PropertyResult(name, "live", PROVEN, depth=proof.depth)
         if proof.failed:
@@ -581,7 +593,7 @@ class FormalEngine:
                                                   shared)
             result.time_s = time.perf_counter() - begin
             results.append(result)
-        self._fold_stats(shared.solver)
+        self._fold_stats(shared.solver.stats.as_dict())
         return results
 
     def _legacy_hunt_then_prove(self, system: TransitionSystem,
@@ -594,7 +606,7 @@ class FormalEngine:
             return PropertyResult(name, kind, CEX, depth=hunt.depth,
                                   trace=hunt.trace)
         engine = get_engine(self.config.proof_engine)
-        verdict = engine.prove_invariant(system, assert_lit, self.config)
+        verdict = self._prove(engine, system, assert_lit)
         if verdict.proven:
             return PropertyResult(name, kind, PROVEN, depth=verdict.depth)
         if verdict.failed:
@@ -620,7 +632,7 @@ class FormalEngine:
         for prop in self._selected(system.covers, only):
             results.append(self._legacy_check_one_cover(system, prop,
                                                         shared))
-        self._fold_stats(shared.solver)
+        self._fold_stats(shared.solver.stats.as_dict())
         return results
 
     def _legacy_check_one_cover(self, system: TransitionSystem, prop,
@@ -637,8 +649,7 @@ class FormalEngine:
             return PropertyResult(prop.name, "cover", UNKNOWN,
                                   depth=self.config.max_bound,
                                   time_s=elapsed)
-        proof = get_engine("pdr").prove_invariant(system, prop.lit ^ 1,
-                                                  self.config)
+        proof = self._prove(get_engine("pdr"), system, prop.lit ^ 1)
         elapsed = time.perf_counter() - begin
         if proof.proven:
             return PropertyResult(prop.name, "cover", UNREACHABLE,
@@ -668,7 +679,7 @@ class FormalEngine:
                                                      shared)
             result.time_s = time.perf_counter() - begin
             results.append(result)
-        self._fold_stats(shared.solver)
+        self._fold_stats(shared.solver.stats.as_dict())
         return results
 
     def _legacy_check_one_liveness(self, system: TransitionSystem,
@@ -688,14 +699,13 @@ class FormalEngine:
             for rounds in self.config.kliveness_rounds:
                 fresh = self._factory()
                 bad_k = compile_kliveness(fresh, name, rounds)
-                attempt = engine.prove_invariant(fresh, bad_k ^ 1,
-                                                 self.config)
+                attempt = self._prove(engine, fresh, bad_k ^ 1)
                 if attempt.proven:
                     return PropertyResult(name, "live", PROVEN,
                                           depth=attempt.depth)
                 if not attempt.failed:
                     break  # bound exhausted: a bigger k will not help
-        proof = engine.prove_invariant(system, bad_lit ^ 1, self.config)
+        proof = self._prove(engine, system, bad_lit ^ 1)
         if proof.proven:
             return PropertyResult(name, "live", PROVEN, depth=proof.depth)
         if proof.failed:

@@ -33,7 +33,7 @@ Third-party engines plug in without touching the orchestrator::
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, TYPE_CHECKING
 
 from .cnf import Unroller
@@ -95,12 +95,18 @@ class EngineVerdict:
     produced one — backends that only learn the depth, like PDR, leave it
     None and the orchestrator regenerates it with BMC) or ``"unknown"``
     (``depth`` = the bound that was exhausted).
+
+    ``solver_stats`` holds the counters of the solvers this attempt ran and
+    nobody else counts: a solver shared through :class:`ProofContext`
+    contributes only this attempt's delta, and a context solver the
+    orchestrator already tracks (the hunt unroller) contributes nothing.
     """
 
     status: str
     depth: int = 0
     cex_depth: int = 0
     trace: Optional[Trace] = None
+    solver_stats: Dict[str, float] = field(default_factory=dict)
 
     @property
     def proven(self) -> bool:
@@ -162,13 +168,17 @@ class PdrEngine(Engine):
         pdr_context = context.pdr if context is not None else None
         outcome = pdr_prove(system, good_lit, max_frames=config.max_frames,
                             context=pdr_context)
+        stats = outcome.solver_stats
         if outcome.proven:
-            return EngineVerdict("proven", depth=outcome.frames)
+            return EngineVerdict("proven", depth=outcome.frames,
+                                 solver_stats=stats)
         if outcome.failed:
             # PDR learns the CEX depth but not the trace; the orchestrator
             # regenerates it with BMC at that depth.
-            return EngineVerdict("cex", cex_depth=outcome.cex_depth)
-        return EngineVerdict("unknown", depth=config.max_frames)
+            return EngineVerdict("cex", cex_depth=outcome.cex_depth,
+                                 solver_stats=stats)
+        return EngineVerdict("unknown", depth=config.max_frames,
+                             solver_stats=stats)
 
     def unknown_depth(self, config) -> int:
         return config.max_frames
@@ -187,12 +197,15 @@ class KInductionEngine(Engine):
                                simple_path=config.simple_path,
                                base_unroller=base_unroller,
                                base_cleared=base_cleared)
+        stats = outcome.solver_stats
         if outcome.failed:
             return EngineVerdict("cex", cex_depth=outcome.cex_trace.depth - 1,
-                                 trace=outcome.cex_trace)
+                                 trace=outcome.cex_trace, solver_stats=stats)
         if outcome.proven:
-            return EngineVerdict("proven", depth=outcome.k)
-        return EngineVerdict("unknown", depth=config.max_k)
+            return EngineVerdict("proven", depth=outcome.k,
+                                 solver_stats=stats)
+        return EngineVerdict("unknown", depth=config.max_k,
+                             solver_stats=stats)
 
     def unknown_depth(self, config) -> int:
         return config.max_k

@@ -87,14 +87,26 @@ def prove_safety(system: TransitionSystem, assert_lit: int, max_k: int,
     with inductive steps of increasing depth.  ``base_cleared`` marks the
     highest depth already known violation-free (e.g. by the engine's BMC
     hunt): base cases up to it are skipped, not re-solved.
+
+    The result's ``solver_stats`` count the step solver, plus the base
+    solver only when it was built here: a caller's ``base_unroller`` is
+    the caller's to count.
     """
     base = base_unroller or Unroller(system)
+    own_base = base_unroller is None
     # The step unrolling keeps the historical eager encoding: simple-path
     # constraints touch the COI latches in every frame anyway, and the
     # stable variable numbering keeps induction's solver trajectory stable.
     step = Unroller(system, symbolic_init=True, eager_latches=True)
     step_solver = step.solver
     sp_latches = coi_latches(system, [assert_lit]) if simple_path else []
+
+    def counters() -> dict:
+        stats = step_solver.stats.as_dict()
+        if own_base:
+            for key, value in base.solver.stats.as_dict().items():
+                stats[key] += value
+        return stats
 
     for k in range(max_k + 1):
         # Base case at exactly depth k (unless a hunt already cleared it).
@@ -103,7 +115,7 @@ def prove_safety(system: TransitionSystem, assert_lit: int, max_k: int,
             if base.solver.solve(assumptions=[bad]):
                 trace = extract_trace(property_name, system, base, depth=k)
                 return InductionResult(proven=False, k=k, cex_trace=trace,
-                                       solver_stats=base.solver.stats.as_dict())
+                                       solver_stats=counters())
         # Inductive step: P holds at frames 0..k, fails at k+1?
         # (Frames start from a symbolic state; constraints apply everywhere.)
         step.frame(k + 1)
@@ -117,6 +129,5 @@ def prove_safety(system: TransitionSystem, assert_lit: int, max_k: int,
         bad_step = -step.sat_literal(assert_lit, k + 1)
         if not step_solver.solve(assumptions=[bad_step]):
             return InductionResult(proven=True, k=k,
-                                   solver_stats=step_solver.stats.as_dict())
-    return InductionResult(proven=False, k=max_k,
-                           solver_stats=step_solver.stats.as_dict())
+                                   solver_stats=counters())
+    return InductionResult(proven=False, k=max_k, solver_stats=counters())

@@ -48,7 +48,11 @@ __all__ = ["PdrResult", "Pdr", "PdrContext", "pdr_prove"]
 @dataclass
 class PdrResult:
     """``proven`` with the closing frame, or ``failed`` with the CEX depth
-    (regenerate the trace with BMC at that depth), or neither (bound hit)."""
+    (regenerate the trace with BMC at that depth), or neither (bound hit).
+
+    ``solver_stats`` counts this run only: on a shared :class:`PdrContext`
+    it is the delta since the run started, so summing the results of
+    every run on one context counts its solver exactly once."""
 
     proven: bool
     frames: int
@@ -126,6 +130,9 @@ class Pdr:
         self.system = system
         self.bad_lit = bad_lit
         self.max_frames = max_frames
+        # Counter baseline: a context built here is this run's alone.
+        self._stats_base = context.solver.stats.as_dict() \
+            if context is not None else {}
         self.context = context or PdrContext(system)
         if self.context.system is not system:
             raise ValueError("PdrContext belongs to a different system")
@@ -332,15 +339,20 @@ class Pdr:
 
     # -- main loop -----------------------------------------------------------
     def run(self) -> PdrResult:
-        if self.bad_lit == FALSE:
-            self.context.retire(self._acts)
-            return PdrResult(proven=True, frames=0)
         try:
-            return self._run()
+            if self.bad_lit == FALSE:
+                result = PdrResult(proven=True, frames=0)
+            else:
+                result = self._run()
         finally:
             # Whatever the outcome, this run's guarded clauses must never
             # constrain the next run on the shared context.
             self.context.retire(self._acts)
+        base = self._stats_base
+        result.solver_stats = {
+            key: value - base.get(key, 0)
+            for key, value in self.solver.stats.as_dict().items()}
+        return result
 
     def _run(self) -> PdrResult:
         while True:
@@ -356,13 +368,11 @@ class Pdr:
                 if self._propagate():
                     return PdrResult(
                         proven=True, frames=self._num_frames,
-                        num_clauses=len(self._clauses),
-                        solver_stats=self.solver.stats.as_dict())
+                        num_clauses=len(self._clauses))
                 if self._num_frames > self.max_frames:
                     return PdrResult(
                         proven=False, frames=self._num_frames,
-                        num_clauses=len(self._clauses),
-                        solver_stats=self.solver.stats.as_dict())
+                        num_clauses=len(self._clauses))
                 continue
             cube = self._model_cube()
             cube = self._lift_cube(
@@ -374,8 +384,7 @@ class Pdr:
                 return PdrResult(
                     proven=False, frames=self._num_frames, failed=True,
                     cex_depth=chain,
-                    num_clauses=len(self._clauses),
-                    solver_stats=self.solver.stats.as_dict())
+                    num_clauses=len(self._clauses))
 
     def _model_cube(self) -> Tuple[int, ...]:
         """Full cube of current-state latch values from the SAT model."""

@@ -268,3 +268,87 @@ class TestLearnedClauseReduction:
                 "reductions"} <= set(stats)
         assert stats["wall_time_s"] >= 0.0
         assert stats["solve_calls"] == 1
+
+
+def _satisfiable(base, clauses, assumptions):
+    """Enumeration reference for activation-guarded clause sets.
+
+    Only the ``base`` variables are enumerated.  An activation literal
+    occurs negatively in every clause and positively only as an
+    assumption, so setting each non-assumed one false is never worse:
+    fixing acts that way loses no satisfying assignment.
+    """
+    assumed = set(assumptions)
+    for bits in itertools.product([False, True], repeat=len(base)):
+        value = dict(zip(base, bits))
+
+        def holds(lit):
+            var = abs(lit)
+            return value.get(var, var in assumed) == (lit > 0)
+
+        if all(holds(a) for a in assumptions) and \
+                all(any(holds(lit) for lit in clause) for clause in clauses):
+            return True
+    return False
+
+
+class TestPdrShapedStreams:
+    """The query stream PDR sends one solver, against enumeration.
+
+    Each relative-induction query allocates an activation literal
+    mid-stream, guards clauses with it (``[-act, ...]``), assumes it and
+    retires it with the unit ``[-act]``.  That grows the decision queue
+    between solves and leaves a growing tail of root-fixed variables the
+    decision walk must skip; the plain CNF tests above reach neither.
+    """
+
+    @given(st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_enumeration(self, data):
+        s = Solver()
+        base = [s.new_var() for _ in range(data.draw(st.integers(2, 5)))]
+        acts, live = [], []
+        clauses = []
+
+        def base_lits(min_size):
+            return data.draw(st.lists(
+                st.sampled_from(base).flatmap(
+                    lambda v: st.sampled_from([v, -v])),
+                min_size=min_size, max_size=3))
+
+        ops = data.draw(st.lists(st.sampled_from(
+            ["var", "clause", "guard", "guard", "retire", "solve", "solve"]),
+            min_size=4, max_size=30))
+        for op in ops:
+            if op == "var" and len(base) < 8:
+                base.append(s.new_var())
+            elif op == "clause":
+                clauses.append(base_lits(1))
+                s.add_clause(clauses[-1])
+            elif op == "guard":
+                if live and data.draw(st.booleans()):
+                    act = data.draw(st.sampled_from(live))
+                else:
+                    act = s.new_var()
+                    acts.append(act)
+                    live.append(act)
+                clauses.append([-act] + base_lits(0))
+                s.add_clause(clauses[-1])
+            elif op == "retire" and live:
+                act = live.pop(data.draw(st.integers(0, len(live) - 1)))
+                clauses.append([-act])
+                s.add_clause([-act])
+            elif op == "solve":
+                assumptions = (data.draw(st.lists(st.sampled_from(acts),
+                                                  unique=True))
+                               if acts else []) + base_lits(0)
+                got = s.solve(assumptions=assumptions)
+                assert got == _satisfiable(base, clauses, assumptions)
+                if got:
+                    for clause in clauses:
+                        assert any(s.value(lit) for lit in clause)
+                    for lit in assumptions:
+                        assert s.value(lit) is True
+                else:
+                    assert set(s.core) <= set(assumptions)
+                    assert not _satisfiable(base, clauses, s.core)
