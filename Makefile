@@ -18,12 +18,11 @@ smoke-campaign:
 	$(PYTHON) -m repro.core.cli campaign --cases A1,A2 --workers 2 \
 	--timeout 120
 
-# Per-property granularity smoke: shard one ariane design's property set
-# across 2 workers (exercises the repro.api task/session/compile-cache
-# path on every push).
+# Sharded smoke: one task per property of one ariane design across 2
+# workers (smoke-campaign covers the default whole-design groups).
 smoke-property:
 	$(PYTHON) -m repro.core.cli campaign --cases A2 \
-	--granularity property --workers 2 --timeout 120
+	--group-size 1 --workers 2 --timeout 120
 
 # Streaming-pipeline equivalence gate: a 2-worker property campaign under
 # --schedule cost (LPT groups + work stealing) must produce verdicts

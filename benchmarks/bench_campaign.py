@@ -8,18 +8,18 @@ orchestration ones:
 1. **pool concurrency** — on a wait-bound workload, N workers cut
    wall-clock by ~N regardless of core count (this is the scheduler
    contract, measurable even on a single-core CI box);
-2. **engine scaling** — the real corpus jobs on 1/2/4 workers.  Model
-   checking is CPU-bound pure Python, so the speedup tracks the number of
-   *cores* and is bounded by the longest single job; on a single core the
-   assertion degrades to "parallelism costs (almost) nothing";
+2. **engine scaling** — the real corpus jobs (one task per design) on
+   1/2/4 workers.  Model checking is CPU-bound pure Python, so the
+   speedup tracks the number of *cores* and is bounded by the longest
+   single design; on a single core the scaling assertion is skipped;
 3. **incremental reruns** — a second campaign over an unchanged corpus is
    served entirely from the content-hash artifact cache and runs in
    milliseconds, beating any worker count;
 4. **determinism** — every configuration returns identical result lists,
    which is what makes the wall-clock comparison meaningful;
-5. **property granularity** (the ``repro.api`` redesign) — sharding each
-   design's property set across the pool removes the longest-job floor of
-   design granularity while compiling every design exactly once;
+5. **group size** — single-property groups spread each design's
+   property set across the pool, removing the longest-design floor of
+   whole-design groups, while compiling every design exactly once;
 6. **schedule makespan** (the streaming pipeline) — ``cost`` scheduling
    (LPT-balanced property groups, costliest-first issue, work stealing,
    compile/check overlap) vs the ``inventory`` baseline on the same
@@ -34,7 +34,8 @@ import pytest
 
 from repro.api import COMPILE_CACHE
 from repro.campaign import (ArtifactCache, CampaignJob, expand_jobs,
-                            run_campaign, run_property_campaign)
+                            run_campaign, run_property_campaign,
+                            verdict_contract)
 from repro.formal import EngineConfig
 
 #: Small/medium designs: enough work to measure, quick enough for CI.
@@ -67,17 +68,6 @@ def _skip_scaling_if_single_core() -> None:
 def _jobs():
     return expand_jobs(case_ids=CASE_IDS,
                        config=EngineConfig(max_bound=8, max_frames=30))
-
-
-def _strip_timing(results):
-    out = []
-    for result in results:
-        payload = dict(result.payload or {})
-        payload.pop("engine_time_s", None)
-        payload.pop("solve_time_s", None)
-        payload.pop("solver", None)
-        out.append((result.job_id, result.status, payload))
-    return out
 
 
 def _sleeping_runner(job):
@@ -121,7 +111,8 @@ def test_campaign_worker_scaling(benchmark):
         outcomes = {}
         for workers in (1, 2, 4):
             begin = time.monotonic()
-            outcomes[workers] = run_campaign(jobs, workers=workers)
+            outcomes[workers] = run_property_campaign(
+                jobs, workers=workers, group_size=None)
             walls[workers] = time.monotonic() - begin
         return walls, outcomes
 
@@ -131,8 +122,8 @@ def test_campaign_worker_scaling(benchmark):
           + ", ".join(f"{w} worker(s) {walls[w]:.1f}s"
                       for w in sorted(walls)))
     # Identical results at every worker count.
-    assert _strip_timing(outcomes[1]) == _strip_timing(outcomes[2]) \
-        == _strip_timing(outcomes[4])
+    assert verdict_contract(outcomes[1]) == verdict_contract(outcomes[2]) \
+        == verdict_contract(outcomes[4])
     assert all(r.ok for r in outcomes[1])
     _skip_scaling_if_single_core()
     # With real cores the 4-worker run must beat serial outright.
@@ -145,10 +136,12 @@ def test_cached_rerun_is_fastest(benchmark, tmp_path):
 
     def run_both():
         begin = time.monotonic()
-        cold = run_campaign(jobs, workers=4, cache=cache)
+        cold = run_property_campaign(jobs, workers=4, group_size=None,
+                                     cache=cache)
         cold_wall = time.monotonic() - begin
         begin = time.monotonic()
-        warm = run_campaign(jobs, workers=4, cache=cache)
+        warm = run_property_campaign(jobs, workers=4, group_size=None,
+                                     cache=cache)
         warm_wall = time.monotonic() - begin
         return cold, cold_wall, warm, warm_wall
 
@@ -159,28 +152,31 @@ def test_cached_rerun_is_fastest(benchmark, tmp_path):
           f"({cache.stats()['entries']} entries)")
     assert not any(r.from_cache for r in cold)
     assert all(r.from_cache for r in warm)
-    assert _strip_timing(cold) == _strip_timing(warm)
+    assert verdict_contract(cold) == verdict_contract(warm)
     # The cached rerun beats any solver-running configuration outright.
     assert warm_wall < cold_wall / 10
     assert warm_wall < 2.0
 
 
-def test_property_granularity_scaling(benchmark):
-    """Property sharding vs design jobs on the same corpus slice.
+def test_group_size_scaling(benchmark):
+    """Single-property groups vs whole-design groups on one corpus slice.
 
-    Design granularity's wall-clock floor is the slowest single design;
-    property tasks split that design across the pool.  On a single-core
-    box the interesting assertions are the contract ones: identical
-    verdict payloads and exactly one compile per design × variant."""
+    A whole-design group's wall-clock floor is the slowest single design;
+    single-property groups split that design across the pool.  On a
+    single-core box the interesting assertions are the contract ones:
+    identical verdict payloads and at most one compile per design ×
+    variant."""
     jobs = _jobs()
 
     def run_both():
         begin = time.monotonic()
-        design_results = run_campaign(jobs, workers=4)
+        design_results = run_property_campaign(jobs, workers=4,
+                                               group_size=None)
         design_wall = time.monotonic() - begin
         compiles_before = COMPILE_CACHE.compiles
         begin = time.monotonic()
-        property_results = run_property_campaign(jobs, workers=4)
+        property_results = run_property_campaign(jobs, workers=4,
+                                                 group_size=1)
         property_wall = time.monotonic() - begin
         compiles = COMPILE_CACHE.compiles - compiles_before
         return design_results, design_wall, property_results, \
@@ -189,10 +185,11 @@ def test_property_granularity_scaling(benchmark):
     design_results, design_wall, property_results, property_wall, \
         compiles = benchmark.pedantic(run_both, rounds=1, iterations=1)
     cores = _cores()
-    print(f"\nE13 granularity ({len(jobs)} designs, {cores} core(s)): "
-          f"design {design_wall:.1f}s, property {property_wall:.1f}s, "
-          f"{compiles} compiles")
-    assert _strip_timing(design_results) == _strip_timing(property_results)
+    print(f"\nE13 group size ({len(jobs)} designs, {cores} core(s)): "
+          f"whole-design {design_wall:.1f}s, single-property "
+          f"{property_wall:.1f}s, {compiles} compiles")
+    assert verdict_contract(design_results) == \
+        verdict_contract(property_results)
     # At most one parent-side frontend run per design x variant (the
     # worker-side no-recompile guarantee is asserted via
     # TaskEvent.compiled_in_worker in tests/api/test_session.py).
@@ -228,8 +225,8 @@ def test_schedule_makespan(benchmark):
     print(f"\nE13 schedule makespan ({len(jobs)} designs, {cores} "
           f"core(s), 4 workers): inventory {walls['inventory']:.1f}s, "
           f"cost {walls['cost']:.1f}s ({steals['cost']} steal(s))")
-    assert _strip_timing(outcomes["inventory"]) == \
-        _strip_timing(outcomes["cost"])
+    assert verdict_contract(outcomes["inventory"]) == \
+        verdict_contract(outcomes["cost"])
     assert all(r.ok for r in outcomes["cost"])
     _skip_scaling_if_single_core()
     # With real cores, cost-balanced scheduling must not *lose* to

@@ -18,7 +18,7 @@ Usage::
     python benchmarks/dist_smoke.py --record <label> # append baseline
 
 The full-corpus version of this gate runs in tier-1
-(``tests/integration/test_dist_corpus.py``).
+(``tests/integration/test_campaign_corpus.py``).
 """
 
 import argparse

@@ -41,7 +41,7 @@ SPAN_NAMES = {"frontend", "task", "compile", "check"}
 
 def _campaign_cmd(cases, workers, extra):
     return [sys.executable, "-m", "repro.core.cli", "campaign",
-            "--cases", cases, "--granularity", "property",
+            "--cases", cases, "--group-size", "1",
             "--workers", str(workers), "--timeout", "300"] + extra
 
 

@@ -2,7 +2,7 @@
 """Pipeline smoke gate: ``--schedule cost`` verdicts == inventory order.
 
 The CI-facing equivalence check of the streaming cost-aware pipeline: run
-a small property-granularity campaign twice — once with the cost schedule
+a small one-task-per-property campaign twice — once with the cost schedule
 (LPT-balanced groups, costliest-first issue, work stealing) and once with
 the inventory baseline — and fail (exit 1) unless every per-job status,
 error and payload verdict is bit-identical.  Prints both makespans for
@@ -15,7 +15,7 @@ Usage::
     python benchmarks/pipeline_smoke.py --cases A1,A2,A5 --workers 4
 
 The full-corpus version of this gate runs in tier-1
-(``tests/integration/test_pipeline_corpus.py``).
+(``tests/integration/test_campaign_corpus.py``).
 """
 
 import argparse

@@ -2,16 +2,16 @@
 """Regenerate the paper's Table III across the whole corpus — as a campaign.
 
 This drives :mod:`repro.campaign`: the corpus registry is expanded into
-design × variant jobs, scheduled on a worker pool (``--workers N``, with
-optional ``--cache-dir`` for incremental reruns), and aggregated into a
-table in the shape of the paper's Table III, plus the aggregate
-property/annotation counts of Section IV.
+design × variant jobs, checked as property tasks on a worker pool
+(``--workers N``, with optional ``--cache-dir`` for incremental reruns),
+and aggregated into a table in the shape of the paper's Table III, plus
+the aggregate property/annotation counts of Section IV.
 
 Run:  python examples/table3_outcomes.py [--workers 4] [--cache-dir DIR]
-      [--granularity property]
-      (~1-2 minutes serial; scales with workers.  Property granularity
-      shards each design's property set across the pool via repro.api —
-      same verdicts, better critical path on multi-core boxes.)
+      [--group-size 1]
+      (~1-2 minutes serial; scales with workers.  By default each design
+      is one task; --group-size 1 gives every property its own task —
+      same verdicts, shorter critical path on multi-core boxes.)
 """
 
 import argparse
@@ -19,7 +19,7 @@ import sys
 import time
 
 from repro.campaign import (ArtifactCache, CampaignReport, expand_jobs,
-                            run_campaign, run_property_campaign)
+                            run_property_campaign)
 from repro.designs import CORPUS, validate
 
 
@@ -27,8 +27,9 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--cache-dir", default=None)
-    parser.add_argument("--granularity", choices=("design", "property"),
-                        default="design")
+    parser.add_argument("--group-size", type=int, default=None,
+                        help="properties per task (default: one task per "
+                             "design)")
     args = parser.parse_args()
 
     # E10 is an in-text experiment, not a Table III row.
@@ -37,32 +38,23 @@ def main() -> None:
     jobs = expand_jobs(cases=cases)
     cache = ArtifactCache(args.cache_dir) if args.cache_dir else None
 
-    begin = time.monotonic()
-    if args.granularity == "property":
-        def on_event(e):
-            if e.kind == "compile_started":
-                print(f"[{e.design}] compiling...", flush=True)
-            elif e.kind == "compile_done":
-                print(f"[{e.design}] compiled in {e.wall_time_s:.1f}s",
-                      flush=True)
-            elif e.kind == "steal":
-                print(f"[{e.task_id}] re-split (work stealing)",
-                      flush=True)
-            else:
-                print(f"[{e.task_id}] {e.status}"
-                      + (" (cached)" if e.from_cache
-                         else f" in {e.wall_time_s:.1f}s"), flush=True)
+    def on_event(e):
+        if e.kind == "compile_started":
+            print(f"[{e.design}] compiling...", flush=True)
+        elif e.kind == "compile_done":
+            print(f"[{e.design}] compiled in {e.wall_time_s:.1f}s",
+                  flush=True)
+        elif e.kind == "steal":
+            print(f"[{e.task_id}] re-split (work stealing)", flush=True)
+        else:
+            print(f"[{e.task_id}] {e.status}"
+                  + (" (cached)" if e.from_cache
+                     else f" in {e.wall_time_s:.1f}s"), flush=True)
 
-        results = run_property_campaign(
-            jobs, workers=args.workers, cache=cache, progress=on_event)
-    else:
-        results = run_campaign(
-            jobs, workers=args.workers, cache=cache,
-            progress=lambda r: print(
-                f"[{r.job_id}] {r.status}"
-                + (" (cached)" if r.from_cache
-                   else f" in {r.wall_time_s:.1f}s"),
-                flush=True))
+    begin = time.monotonic()
+    results = run_property_campaign(
+        jobs, workers=args.workers, group_size=args.group_size,
+        cache=cache, progress=on_event)
     report = CampaignReport(jobs, results, workers=args.workers,
                             wall_time_s=time.monotonic() - begin,
                             cache_stats=cache.stats() if cache else None)

@@ -39,12 +39,13 @@ and are the *compatibility* surface, not the primary one:
 
 * ``repro.core.run_fv(ft, sources, config)`` — still returns a
   ``CheckReport`` (with traces); now compiles through the shared cache.
-* ``repro.campaign.execute_job(job)`` — one whole-design task under the
-  hood; ``expand_jobs`` + ``run_campaign`` are unchanged for
-  design-granularity campaigns.
 * ``FormalEngine(factory, config).check_all()`` — unchanged; new code
   should prefer ``check_properties`` on a ``CompiledDesign.system``
   factory.
+
+Campaigns run on this layer too: ``repro.campaign.run_property_campaign``
+expands each corpus job into property tasks (``group_size=None`` for one
+task per design) and merges their verdicts back per job.
 
 New integrations should target ``repro.api``; the shims are kept for the
 corpus scripts and will only grow, never change shape.

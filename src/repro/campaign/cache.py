@@ -20,7 +20,6 @@ from pathlib import Path
 from typing import Dict, Optional
 
 from ..testing.faults import FAULTS
-from .jobs import CampaignJob
 
 __all__ = ["ArtifactCache", "CacheEntry"]
 
@@ -61,12 +60,11 @@ class ArtifactCache:
     def key(self, job) -> str:
         """Content hash of all outcome-determining inputs of ``job``.
 
-        Accepts any unit of work the scheduler runs — anything with
-        ``cache_chunks()`` and an ``engine_config``: a whole-design
-        :class:`CampaignJob` (module + corpus sources) or a per-property
-        :class:`~repro.api.task.PropertyTask`, whose chunks include the
-        property-group names so different shards of one design get
-        distinct entries.
+        Accepts anything with ``cache_chunks()`` and an
+        ``engine_config``; campaigns key
+        :class:`~repro.api.task.PropertyTask` results, whose chunks
+        include the property-group names so different shards of one
+        design get distinct entries.
         """
         from ..api.compile import config_fingerprint, hash_chunks
 

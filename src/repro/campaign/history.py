@@ -142,10 +142,11 @@ class CampaignHistory:
 
         Each sample is ``{"kinds": {kind: count}, "wall_time_s": s,
         "worker": "host:pid"}`` — one per executed (non-cached) property
-        task.  ``worker`` records *where* the task ran, so calibration
-        over a heterogeneous fabric (a laptop coordinator plus big iron
-        agents) can be filtered per host instead of mixing machines with
-        different cost ratios; samples recorded before the field existed
+        task whose properties share one kind (the only samples
+        calibration can use).  ``worker`` records *where* the task ran,
+        so calibration over a heterogeneous fabric (a laptop coordinator
+        plus big iron agents) can be filtered per host instead of mixing
+        machines with different cost ratios; samples recorded before the field existed
         simply lack it, and :meth:`~repro.campaign.costmodel.CostModel.calibrated`
         ignores fields it does not know — both directions stay
         compatible.  No record is written when there are no samples (an

@@ -3,31 +3,31 @@
 A :class:`CampaignJob` is a fully self-contained, picklable description of
 one verification run — which corpus RTL to load, which module is the DUT,
 and how to bound the engine.  :func:`expand_jobs` unfolds the corpus
-registry (or any subset of it) into the job list a scheduler executes,
-and :func:`execute_job` is the worker-side entry point that turns one job
-into a plain-data result payload.
+registry (or any subset of it) into the campaign's input list.  Jobs are
+not executed as such: :mod:`repro.campaign.sharding` turns each one into
+property tasks and merges their verdicts back into one result per job,
+whose payload :func:`summarize_report` shapes.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..designs import CORPUS, DesignCase, case_by_id, load
 from ..formal.engine import CheckReport, EngineConfig
 
-__all__ = ["CampaignJob", "expand_jobs", "execute_job", "summarize_report"]
+__all__ = ["CampaignJob", "expand_jobs", "summarize_report"]
 
 
 @dataclass(frozen=True)
 class CampaignJob:
-    """One unit of campaign work.
+    """One design × variant × config of a campaign: its input record.
 
-    Everything is stored by value (file names, config fields) so a job can
-    cross a process boundary; workers re-load sources from the corpus on
-    their side.  ``job_id`` is unique within a campaign and doubles as the
-    stable sort key for deterministic result ordering.
+    Everything is stored by value (file names, config fields); sources
+    load from the corpus on demand.  ``job_id`` is unique within a
+    campaign, labels the job's property tasks and doubles as the stable
+    sort key for deterministic result ordering.
     """
 
     job_id: str                      # e.g. "A3.buggy"
@@ -141,22 +141,3 @@ def summarize_report(report: CheckReport) -> Dict[str, object]:
         "solver": dict(report.solver),
     }
 
-
-def execute_job(job: CampaignJob) -> Dict[str, object]:
-    """Worker-side execution: generate the FT, run the engine, summarize.
-
-    Raises on any failure (missing file, annotation error, engine error);
-    the scheduler converts exceptions into per-job ``error`` results so
-    one broken design never takes the campaign down.
-    """
-    from ..core import generate_ft, run_fv
-
-    begin = time.perf_counter()
-    sources = job.sources()
-    ft = generate_ft(sources[0], module_name=job.dut_module)
-    report = run_fv(ft, sources, job.engine_config)
-    payload = summarize_report(report)
-    payload["annotation_loc"] = ft.annotation_loc
-    payload["property_count"] = ft.property_count
-    payload["engine_time_s"] = time.perf_counter() - begin
-    return payload

@@ -105,9 +105,8 @@ class CampaignReport:
     workers: int = 1
     wall_time_s: float = 0.0
     cache_stats: Optional[Dict[str, int]] = None
-    #: Scheduling policy of the run (property granularity: "inventory" or
-    #: "cost"); None for design-granularity campaigns.
-    schedule: Optional[str] = None
+    #: Task scheduling policy of the run: "cost" or "inventory".
+    schedule: str = "cost"
     #: Total work-stealing re-splits across the run.
     steals: int = 0
     #: Execution transport of the run ("local" forked pool, "tcp" remote
@@ -452,13 +451,12 @@ class CampaignReport:
             f"{phases['solve_s']:.1f}s | engine-other "
             f"{phases['engine_other_s']:.1f}s | overhead "
             f"{phases['overhead_s']:.1f}s")
-        if self.schedule is not None:
-            lines.append(
-                f"Scheduling: {self.schedule}"
-                + (f", {self.steals} work-stealing re-split(s)"
-                   if self.steals else ", no steals")
-                + (f", transport {self.transport}"
-                   if self.transport else ""))
+        lines.append(
+            f"Scheduling: {self.schedule}"
+            + (f", {self.steals} work-stealing re-split(s)"
+               if self.steals else ", no steals")
+            + (f", transport {self.transport}"
+               if self.transport else ""))
         if self.worker_stats:
             lines.append("\nWorker fabric:")
             lines.append(f"  {'worker':<28} {'slots':>5} {'tasks':>5} "

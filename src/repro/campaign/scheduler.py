@@ -11,7 +11,7 @@ Design points:
   that does expensive parent-side work per job (the property-sharding
   frontend: FT generation + compile) therefore overlaps that work with
   the checking of already-issued jobs.  A plain list works too
-  (:func:`iter_campaign` is the list-shaped shim).
+  (:func:`run_campaign` is the list-shaped shim).
 * **Pluggable transports** — *where* a job executes is a transport
   decision: the default :class:`LocalTransport` forks processes on this
   host (the behavior the pre-fabric scheduler hard-coded);
@@ -57,9 +57,10 @@ Design points:
   ``original_wall_time_s``.
 
 The scheduler is unit-agnostic: a "job" is anything picklable with a
-``job_id`` attribute that ``runner`` can execute — a whole-design
-:class:`~repro.campaign.jobs.CampaignJob` (the default) or a per-property
-:class:`~repro.api.task.PropertyTask`.  A source may also yield
+``job_id`` attribute that the caller's ``runner`` can execute.  Every
+campaign runs :class:`~repro.api.task.PropertyTask` units through
+:func:`~repro.api.task.execute_task`; the scheduler tests drive it with
+synthetic jobs and runners.  A source may also yield
 :class:`SourceNotice` markers (compile progress from the sharding
 frontend); they pass through the event stream untouched.
 
@@ -91,11 +92,10 @@ from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
 
 from ..obs import METRICS, TRACER, absorb_obs, collect_obs
 from .cache import ArtifactCache
-from .jobs import CampaignJob, execute_job
 
 __all__ = ["JobResult", "LocalTransport", "RetryPolicy", "Scheduler",
            "SourceNotice", "classify_failure",
-           "iter_campaign", "resolve_worker_count", "run_campaign"]
+           "resolve_worker_count", "run_campaign"]
 
 #: Upper bound on how long a worker's deadline may overshoot: the pool
 #: never sleeps past the earliest deadline, and never longer than this
@@ -150,7 +150,9 @@ class JobResult:
     (``wall_time_s`` is then the replay time, effectively zero).
     ``worker`` identifies where the job executed (``host:pid`` — the
     forked child locally, the remote agent on a TCP fabric), so timing
-    samples from heterogeneous hosts can be told apart downstream.
+    samples from heterogeneous hosts can be told apart downstream.  A
+    merged per-design result names it only when the design ran as one
+    task; work split across tasks has no single worker.
     """
 
     job_id: str
@@ -164,7 +166,7 @@ class JobResult:
     #: (only set on merged per-design results, see the campaign layer).
     steals: int = 0
     #: ``host:pid`` of the process that executed the job (None for cache
-    #: replays, which execute nothing).
+    #: replays, which execute nothing, and for designs split into tasks).
     worker: Optional[str] = None
 
     @property
@@ -368,7 +370,7 @@ class LocalTransport:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.workers = workers
-        self.runner: Callable = execute_job
+        self.runner: Optional[Callable] = None
         self.timeout_s: Optional[float] = None
         self.memory_limit_mb: Optional[int] = None
         self._host = socket.gethostname()
@@ -510,16 +512,18 @@ class Scheduler:
     consumed by a steal — their verdicts arrive through the halves'
     ``done`` events instead.
 
-    ``transport`` selects the execution backend (default: a
-    :class:`LocalTransport` forking ``workers`` processes on this host).
+    ``runner`` executes one job inside a worker; ``transport`` selects
+    the execution backend (default: a :class:`LocalTransport` forking
+    ``workers`` processes on this host).  Remote transports pick the
+    runner agent-side from the unit's wire codec instead.
     """
 
-    def __init__(self, source: Iterable,
+    def __init__(self, source: Iterable, *,
+                 runner: Callable,
                  workers: int = 1,
                  cache: Optional[ArtifactCache] = None,
                  timeout_s: Optional[float] = None,
                  memory_limit_mb: Optional[int] = None,
-                 runner: Callable = execute_job,
                  split: Optional[Callable] = None,
                  combine: Optional[Callable] = None,
                  cost_of: Optional[Callable] = None,
@@ -951,59 +955,35 @@ class Scheduler:
             self._transport.close()
 
 
-def iter_campaign(jobs: Sequence[CampaignJob],
-                  workers: int = 1,
-                  cache: Optional[ArtifactCache] = None,
-                  timeout_s: Optional[float] = None,
-                  memory_limit_mb: Optional[int] = None,
-                  runner: Callable[[CampaignJob], Dict[str, object]]
-                  = execute_job,
-                  transport=None
-                  ) -> Iterator[Tuple[int, JobResult]]:
-    """Run ``jobs`` on a worker pool, yielding results as they finish.
-
-    The list-shaped shim over :class:`Scheduler`: yields ``(index,
-    result)`` pairs in **completion order**, where ``index`` is the job's
-    position in the input sequence, so callers can rebuild job order.
-    Cached jobs replay without occupying a worker slot.  Abandoning the
-    generator terminates any still-running workers.
-    """
-    scheduler = Scheduler(list(jobs), workers=workers, cache=cache,
-                          timeout_s=timeout_s,
-                          memory_limit_mb=memory_limit_mb, runner=runner,
-                          transport=transport)
-    for event in scheduler.run():
-        if event[0] == "done":
-            _, index, _, result = event
-            yield index, result
-
-
-def run_campaign(jobs: Sequence[CampaignJob],
+def run_campaign(jobs: Sequence, *,
+                 runner: Callable[[object], Dict[str, object]],
                  workers: int = 1,
                  cache: Optional[ArtifactCache] = None,
                  timeout_s: Optional[float] = None,
                  memory_limit_mb: Optional[int] = None,
-                 runner: Callable[[CampaignJob], Dict[str, object]]
-                 = execute_job,
                  progress: Optional[Callable[[JobResult], None]] = None,
                  transport=None
                  ) -> List[JobResult]:
-    """Run ``jobs`` on a pool of ``workers`` processes (batch wrapper).
+    """Run ``jobs`` through ``runner`` on a worker pool (batch wrapper).
 
-    Returns one :class:`JobResult` per job, **in job order**, regardless of
-    worker count or completion order.  ``progress`` (if given) is called
-    with each result as it lands, in completion order.  Streaming consumers
-    use :func:`iter_campaign` (or :class:`Scheduler`) directly.
-    ``transport`` dispatches the same jobs to a remote worker fabric
-    instead of local forks (see :mod:`repro.dist`).
+    The list-shaped shim over :class:`Scheduler`: returns one
+    :class:`JobResult` per job, **in job order**, regardless of worker
+    count or completion order.  ``progress`` (if given) is called with
+    each result as it lands, in completion order.  Cached jobs replay
+    without occupying a worker slot.  Campaigns go through
+    :func:`~repro.campaign.sharding.run_property_campaign`; this shim is
+    what the scheduler tests drive with synthetic runners.
     """
     jobs = list(jobs)
     results: List[Optional[JobResult]] = [None] * len(jobs)
-    for index, result in iter_campaign(
-            jobs, workers=workers, cache=cache, timeout_s=timeout_s,
-            memory_limit_mb=memory_limit_mb, runner=runner,
-            transport=transport):
-        results[index] = result
-        if progress:
-            progress(result)
+    scheduler = Scheduler(jobs, runner=runner, workers=workers,
+                          cache=cache, timeout_s=timeout_s,
+                          memory_limit_mb=memory_limit_mb,
+                          transport=transport)
+    for event in scheduler.run():
+        if event[0] == "done":
+            _, index, _, result = event
+            results[index] = result
+            if progress:
+                progress(result)
     return [result for result in results if result is not None]

@@ -1,10 +1,9 @@
-"""Property-granularity campaigns: shard design jobs into property tasks.
+"""Campaign execution: every design job runs as property tasks.
 
-The whole-design :class:`~repro.campaign.jobs.CampaignJob` is the wrong
-scheduling unit when one design dominates the critical path (the A4/O2
-jobs in the corpus): a 4-worker pool idles while one worker grinds through
-a big property set.  This module re-expresses a design-granularity job
-list at per-property granularity on top of :mod:`repro.api`:
+A :class:`~repro.campaign.jobs.CampaignJob` names one design × variant ×
+engine configuration.  This module runs it on top of :mod:`repro.api`
+as :class:`~repro.api.task.PropertyTask` groups and folds their verdicts
+back into one result per job:
 
 * :func:`stream_tasks` — the **streaming frontend**: a generator that,
   per design, runs FT generation + one compile (through the shared
@@ -15,17 +14,20 @@ list at per-property granularity on top of :mod:`repro.api`:
   into the scheduler, design B's frontend runs while design A's tasks
   are still being checked — no all-designs-compile-first phase;
 * :func:`shard_jobs` — the batch wrapper that drains the stream into a
-  :class:`ShardPlan` up front (the pre-pipeline shape, kept for plan
-  inspection and tests);
+  :class:`ShardPlan` up front (kept for plan inspection and tests);
 * :func:`merge_shard_results` — fold the per-task results back into one
   :class:`~repro.campaign.scheduler.JobResult` per original job, with a
-  payload identical in shape *and verdicts* to what
-  :func:`~repro.campaign.jobs.execute_job` produces — reports, caches and
-  expectation checks downstream cannot tell the difference.  The merge
-  keys on the design label and the property-name union, so it tolerates
-  *any* grouping: inventory chunks, LPT cost bins, work-stolen halves;
-* :func:`run_property_campaign` — the drop-in driver the CLI's
-  ``--granularity property`` mode uses, wiring stream → session → merge.
+  payload shaped by :func:`~repro.campaign.jobs.summarize_report`.  The
+  merge keys on the design label and the property-name union, so it
+  tolerates *any* grouping: whole designs, inventory chunks, LPT cost
+  bins, work-stolen halves;
+* :func:`run_property_campaign` — the one campaign driver (CLI,
+  examples, benchmarks), wiring stream → session → merge.
+
+Grouping (``group_size=``): ``None`` puts every property of a design into
+one task — a whole-design job, the CLI default; ``N`` puts at most ``N``
+properties in each task (``1`` = one task per property), which spreads
+one design's property set across the pool.
 
 Scheduling (``schedule=``):
 
@@ -52,6 +54,7 @@ from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
 # import orders working (api first or campaign first), the session-layer
 # imports below happen inside the functions that need them.
 from ..api.task import PropertyTask, TaskEvent, build_tasks
+from ..designs import CorpusError
 from ..formal.engine import CheckReport
 from ..obs import TRACER
 from .cache import ArtifactCache
@@ -88,7 +91,7 @@ class _JobShard:
 
 @dataclass
 class ShardPlan:
-    """The task list for a property-granularity campaign run."""
+    """The task list of a campaign run."""
 
     shards: List[_JobShard] = field(default_factory=list)
     tasks: List[PropertyTask] = field(default_factory=list)
@@ -104,7 +107,7 @@ class ShardPlan:
 _PLAN_SCHEMA = 2
 
 
-def _plan_key(job: CampaignJob, group_size: int,
+def _plan_key(job: CampaignJob, group_size: Optional[int],
               schedule: str = "inventory",
               model: Optional[CostModel] = None) -> str:
     """Content hash of everything that determines a job's shard plan.
@@ -155,9 +158,12 @@ def _property_meta(compiled) -> Dict[str, Tuple[str, int, int]]:
 
 
 def _grouped(names: Sequence[str], meta: Dict[str, Tuple[str, int, int]],
-             group_size: int, schedule: str, model: CostModel,
+             group_size: Optional[int], schedule: str, model: CostModel,
              config) -> List[Tuple[str, ...]]:
-    """Split a design's inventory into task-sized property groups."""
+    """Split a design's inventory into task-sized property groups
+    (``group_size=None``: one group holding the whole inventory)."""
+    if group_size is None:
+        return [tuple(names)] if names else []
     if schedule == "inventory":
         from ..api.task import group_properties
         return group_properties(names, group_size)
@@ -196,7 +202,7 @@ def _restore_shard(shard: _JobShard, entry: dict) -> List[PropertyTask]:
     return tasks
 
 
-def _expand_shard(job: CampaignJob, group_size: int,
+def _expand_shard(job: CampaignJob, group_size: Optional[int],
                   cache: Optional[ArtifactCache], schedule: str,
                   model: CostModel) -> _JobShard:
     """Produce one design's shard: plan-cache restore or fresh frontend.
@@ -217,8 +223,12 @@ def _expand_shard(job: CampaignJob, group_size: int,
 
     begin = time.perf_counter()
     shard = _JobShard(job=job)
-    plan_key = _plan_key(job, group_size, schedule, model) \
-        if cache is not None else None
+    plan_key = None
+    if cache is not None:
+        try:
+            plan_key = _plan_key(job, group_size, schedule, model)
+        except CorpusError:
+            pass  # missing sources: the fresh expansion records the error
     if plan_key is not None:
         entry = cache.get(plan_key)
         if entry is not None:
@@ -277,7 +287,7 @@ def _expand_shard(job: CampaignJob, group_size: int,
 
 
 def stream_tasks(jobs: Sequence[CampaignJob],
-                 group_size: int = 1,
+                 group_size: Optional[int] = 1,
                  cache: Optional[ArtifactCache] = None,
                  schedule: str = "cost",
                  model: Optional[CostModel] = None,
@@ -316,7 +326,7 @@ def stream_tasks(jobs: Sequence[CampaignJob],
 
 
 def shard_jobs(jobs: Sequence[CampaignJob],
-               group_size: int = 1,
+               group_size: Optional[int] = 1,
                cache: Optional[ArtifactCache] = None,
                schedule: str = "inventory",
                model: Optional[CostModel] = None) -> ShardPlan:
@@ -331,9 +341,8 @@ def shard_jobs(jobs: Sequence[CampaignJob],
     With a ``cache``, each job's *shard plan* (testbench-merged source +
     property grouping + scheduling metadata) is itself content-cached: a
     warm rerun rebuilds its task list from disk and skips FT generation
-    and the parent-side compile entirely, which is what makes a
-    fully-warm ``--granularity property --cache-dir`` rerun as instant
-    as a design-granularity one.
+    and the parent-side compile entirely, so a fully-warm ``--cache-dir``
+    rerun compiles nothing.
     """
     plan = ShardPlan()
     for _ in stream_tasks(jobs, group_size=group_size, cache=cache,
@@ -354,6 +363,8 @@ def _merge_one(shard: _JobShard,
     own = [event for event in events if event.is_result]
     bad = [event for event in own if not event.ok]
     wall = sum(event.wall_time_s for event in own)
+    # A job that ran as one task (a whole-design group) ran on one worker.
+    worker = own[0].worker if len(own) == 1 else None
     covered = {item["name"] for event in own if event.ok
                for item in event.results}
     if bad or covered != shard.all_properties:
@@ -367,7 +378,7 @@ def _merge_one(shard: _JobShard,
                          error=f"{len(bad)}/{len(own)} property task(s) "
                                f"failed ({len(covered)}/{expected} "
                                f"properties decided): {details}",
-                         wall_time_s=wall, steals=steals)
+                         wall_time_s=wall, steals=steals, worker=worker)
     if report is None:  # degenerate: a design with zero properties
         report = CheckReport(design=job.dut_module)
     payload = summarize_report(report)
@@ -388,7 +399,8 @@ def _merge_one(shard: _JobShard,
         original = sum(stored) if stored else None
     return JobResult(job_id=job.job_id, status="ok", payload=payload,
                      wall_time_s=wall, from_cache=from_cache,
-                     original_wall_time_s=original, steals=steals)
+                     original_wall_time_s=original, steals=steals,
+                     worker=worker)
 
 
 def merge_shard_results(plan: ShardPlan,
@@ -397,8 +409,8 @@ def merge_shard_results(plan: ShardPlan,
                         ) -> List[JobResult]:
     """One :class:`JobResult` per original job, in job order.
 
-    Payloads match :func:`~repro.campaign.jobs.execute_job` field for
-    field; a job with any failed shard — or any property left undecided —
+    Payloads are shaped by :func:`~repro.campaign.jobs.summarize_report`;
+    a job with any failed shard — or any property left undecided —
     degrades to a per-job error result (never a silently partial
     report).  Events are matched to jobs by *design label* and verdicts
     reassembled in canonical property order, so the merge is indifferent
@@ -420,26 +432,24 @@ def merge_shard_results(plan: ShardPlan,
 
 def run_property_campaign(jobs: Sequence[CampaignJob],
                           workers: int = 1,
-                          group_size: int = 1,
+                          group_size: Optional[int] = 1,
                           cache: Optional[ArtifactCache] = None,
                           timeout_s: Optional[float] = None,
                           memory_limit_mb: Optional[int] = None,
                           progress: Optional[Callable[[TaskEvent], None]]
                           = None,
                           schedule: str = "cost",
-                          steal: Optional[bool] = None,
                           model: Optional[CostModel] = None,
                           transport=None
                           ) -> List[JobResult]:
-    """Run a campaign at property granularity; results stay job-shaped.
+    """Run a campaign as property tasks; results stay job-shaped.
 
     The streaming pipeline: :func:`stream_tasks` feeds the session's
     scheduler directly, so each design's FT generation + compile overlaps
-    the checking of earlier designs' tasks.  ``schedule`` picks the
-    grouping/issue policy (see the module docstring); ``steal`` toggles
-    work stealing (default: on for ``cost``, off for ``inventory`` —
-    the latter stays bit-compatible with the pre-pipeline behavior).
-    ``transport`` runs the tasks on a remote worker fabric
+    the checking of earlier designs' tasks.  ``group_size`` and
+    ``schedule`` pick the grouping and issue policy (see the module
+    docstring); the ``cost`` schedule also work-steals, ``inventory``
+    never does.  ``transport`` runs the tasks on a remote worker fabric
     (:class:`~repro.dist.coordinator.TcpTransport`) instead of local
     forks; verdicts are identical by contract (CI-gated).
 
@@ -453,8 +463,6 @@ def run_property_campaign(jobs: Sequence[CampaignJob],
     """
     from ..api.session import VerificationSession
 
-    if steal is None:
-        steal = schedule == "cost"
     model = model or CostModel()
     plan = ShardPlan()
     source = stream_tasks(jobs, group_size=group_size, cache=cache,
@@ -463,7 +471,7 @@ def run_property_campaign(jobs: Sequence[CampaignJob],
         source, workers=workers, cache=cache, timeout_s=timeout_s,
         memory_limit_mb=memory_limit_mb,
         precompile=False,  # the stream compiles each design as it lands
-        steal=steal, cost_model=model, transport=transport)
+        steal=schedule == "cost", cost_model=model, transport=transport)
     for event in session.run():
         if progress:
             progress(event)

@@ -13,15 +13,16 @@ Examples::
 The ``campaign`` subcommand runs the whole evaluation corpus (the paper's
 Table III) through :mod:`repro.campaign`::
 
-    autosva campaign                       # full corpus on 1 worker
+    autosva campaign                       # full corpus, one task per
+                                           # design, one worker per core
     autosva campaign --cases A1,A2 --workers 2
     autosva campaign --workers 4 --cache-dir .repro-cache --json t3.json
-    autosva campaign --granularity property --workers 4
-                                           # shard property sets, one
+    autosva campaign --group-size 1 --workers 4
+                                           # one task per property, one
                                            # compile per design (repro.api)
-    autosva campaign --granularity property --schedule cost
-                                           # LPT cost-balanced groups +
-                                           # work stealing (the default)
+    autosva campaign --group-size 2 --schedule inventory
+                                           # declaration-order groups, no
+                                           # work stealing
     autosva campaign --sweep proof_engine=pdr,kind --json sweep.json
     autosva campaign --history runs.jsonl  # regression check vs last run
                                            # + cost-model calibration
@@ -113,18 +114,15 @@ def build_campaign_parser() -> argparse.ArgumentParser:
     parser.add_argument("--workers", default="auto", metavar="N|auto",
                         help="worker processes; 'auto' (the default) "
                              "resolves to the host's CPU count")
-    parser.add_argument("--granularity", choices=("design", "property"),
-                        default="design",
-                        help="scheduling unit: one job per design (default) "
-                             "or shard each design's property set across "
-                             "the worker pool (one compile per design, "
-                             "per-property check tasks)")
-    parser.add_argument("--group-size", type=int, default=1, metavar="N",
-                        help="properties per task at property granularity "
-                             "(default 1)")
+    parser.add_argument("--group-size", type=int, default=None,
+                        metavar="N",
+                        help="properties per check task (default: one task "
+                             "per design holding all its properties; 1 "
+                             "shards each design's property set across "
+                             "the worker pool, one compile per design)")
     parser.add_argument("--schedule", choices=("inventory", "cost"),
                         default="cost",
-                        help="property-granularity scheduling policy: "
+                        help="task scheduling policy: "
                              "'cost' (default) prices properties by kind/"
                              "COI/bounds, packs them into LPT-balanced "
                              "groups issued costliest-first and lets the "
@@ -277,9 +275,8 @@ def _kind_counts(results: List[dict]) -> dict:
 def campaign_main(argv: List[str]) -> int:
     import time
 
-    from ..campaign import (ArtifactCache, CampaignHistory, CampaignReport,
-                            expand_jobs, resolve_worker_count,
-                            run_campaign, run_property_campaign)
+    from ..campaign import (ArtifactCache, CampaignHistory, expand_jobs,
+                            resolve_worker_count)
     from ..designs import CorpusError, validate
 
     try:
@@ -309,7 +306,7 @@ def campaign_main(argv: List[str]) -> int:
         print("autosva campaign: error: --memory-limit must be positive",
               file=sys.stderr)
         return 1
-    if args.group_size < 1:
+    if args.group_size is not None and args.group_size < 1:
         print("autosva campaign: error: --group-size must be >= 1",
               file=sys.stderr)
         return 1
@@ -348,8 +345,6 @@ def campaign_main(argv: List[str]) -> int:
         TRACER.enable()
     cache = ArtifactCache(args.cache_dir) if args.cache_dir else None
     history = CampaignHistory(args.history) if args.history else None
-    unit = ("property tasks" if args.granularity == "property"
-            else "design jobs")
     transport = None
     if args.transport == "tcp":
         from ..dist import TcpTransport, parse_address
@@ -381,11 +376,11 @@ def campaign_main(argv: List[str]) -> int:
             transport.spawn_local(args.spawn_workers)
             print(f"Spawned {args.spawn_workers} loopback worker "
                   f"agent(s)", flush=True)
-        print(f"Running {len(jobs)} jobs ({unit}) on the TCP fabric "
-              f"(>= {min_workers} worker agent(s))...", flush=True)
+        print(f"Running {len(jobs)} jobs (property tasks) on the TCP "
+              f"fabric (>= {min_workers} worker agent(s))...", flush=True)
     else:
-        print(f"Running {len(jobs)} jobs ({unit}) on {args.workers} "
-              f"worker(s)...", flush=True)
+        print(f"Running {len(jobs)} jobs (property tasks) on "
+              f"{args.workers} worker(s)...", flush=True)
     begin = time.monotonic()
     try:
         return _campaign_run(args, jobs, cache, history, transport, begin)
@@ -405,81 +400,64 @@ def campaign_main(argv: List[str]) -> int:
 def _campaign_run(args, jobs, cache, history, transport, begin) -> int:
     import time
 
-    from ..campaign import CampaignReport, run_campaign, \
-        run_property_campaign
+    from ..campaign import CampaignReport, CostModel, run_property_campaign
 
-    if args.granularity == "property":
-        from ..campaign import CostModel
+    model = CostModel()
+    if history is not None and args.schedule == "cost":
+        # Fold measured per-task wall times from previous runs back into
+        # the kind weights (no-op on an empty history).
+        model = model.calibrated(history.timing_samples())
+    events = []
 
-        model = CostModel()
-        if history is not None and args.schedule == "cost":
-            # Fold measured per-task wall times from previous runs back
-            # into the kind weights (no-op on an empty history).
-            model = model.calibrated(history.timing_samples())
-        events = []
+    def on_event(event):
+        events.append(event)
+        if event.kind == "compile_started":
+            print(f"  [compile] {event.design} ...", flush=True)
+        elif event.kind == "compile_done":
+            note = (" (plan cached)" if event.from_cache
+                    else f" {event.wall_time_s:.1f}s")
+            print(f"  [compile] {event.design} done{note}", flush=True)
+        elif event.kind == "steal":
+            print(f"  [  steal] {event.task_id} re-split for idle "
+                  f"workers", flush=True)
+        elif event.kind == "requeue":
+            print(f"  [requeue] {event.task_id} — worker "
+                  f"{event.worker} died; reassigned", flush=True)
+        else:
+            note = (f" (cached, originally "
+                    f"{event.original_wall_time_s:.1f}s)"
+                    if event.from_cache
+                    and event.original_wall_time_s is not None
+                    else " (cached)" if event.from_cache
+                    else f" {event.wall_time_s:.1f}s")
+            print(f"  [{event.status:>7}] {event.task_id}{note}",
+                  flush=True)
 
-        def on_event(event):
-            events.append(event)
-            if event.kind == "compile_started":
-                print(f"  [compile] {event.design} ...", flush=True)
-            elif event.kind == "compile_done":
-                note = (" (plan cached)" if event.from_cache
-                        else f" {event.wall_time_s:.1f}s")
-                print(f"  [compile] {event.design} done{note}", flush=True)
-            elif event.kind == "steal":
-                print(f"  [  steal] {event.task_id} re-split for idle "
-                      f"workers", flush=True)
-            elif event.kind == "requeue":
-                print(f"  [requeue] {event.task_id} — worker "
-                      f"{event.worker} died; reassigned", flush=True)
-            else:
-                note = (f" (cached, originally "
-                        f"{event.original_wall_time_s:.1f}s)"
-                        if event.from_cache
-                        and event.original_wall_time_s is not None
-                        else " (cached)" if event.from_cache
-                        else f" {event.wall_time_s:.1f}s")
-                print(f"  [{event.status:>7}] {event.task_id}{note}",
-                      flush=True)
-
-        results = run_property_campaign(
-            jobs, workers=args.workers, group_size=args.group_size,
-            cache=cache, timeout_s=args.timeout,
-            memory_limit_mb=args.memory_limit,
-            schedule=args.schedule, model=model, progress=on_event,
-            transport=transport)
-        schedule = args.schedule
-        steals = sum(r.steals for r in results)
-        # Frontend phase = the scheduler-side compiles (plan generation +
-        # parse/elaborate); cached plans cost ~0 and report ~0.
-        frontend = sum(event.wall_time_s for event in events
-                       if event.kind == "compile_done"
-                       and not event.from_cache)
-        timing_samples = [
-            {"kinds": _kind_counts(event.results),
-             "wall_time_s": event.wall_time_s,
-             "worker": event.worker}
-            for event in events
-            if event.kind == "result" and event.ok
-            and not event.from_cache and event.results
-        ]
-    else:
-        results = run_campaign(
-            jobs, workers=args.workers, cache=cache, timeout_s=args.timeout,
-            memory_limit_mb=args.memory_limit,
-            progress=lambda r: print(
-                f"  [{r.status:>7}] {r.job_id}"
-                + (" (cached)" if r.from_cache
-                   else f" {r.wall_time_s:.1f}s"),
-                flush=True),
-            transport=transport)
-        schedule = None
-        steals = 0
-        timing_samples = []
-        # Design granularity compiles inside the worker task; the compile
-        # span is still traced, but there is no scheduler-side frontend
-        # phase to attribute separately.
-        frontend = 0.0
+    results = run_property_campaign(
+        jobs, workers=args.workers, group_size=args.group_size,
+        cache=cache, timeout_s=args.timeout,
+        memory_limit_mb=args.memory_limit,
+        schedule=args.schedule, model=model, progress=on_event,
+        transport=transport)
+    steals = sum(r.steals for r in results)
+    # Frontend phase = the scheduler-side compiles (plan generation +
+    # parse/elaborate); cached plans cost ~0 and report ~0.
+    frontend = sum(event.wall_time_s for event in events
+                   if event.kind == "compile_done"
+                   and not event.from_cache)
+    # Calibration samples: only single-kind tasks identify a kind's cost
+    # (the rule CostModel.calibrated applies).  Whole-design runs record
+    # none: their tasks mix kinds, and the few single-kind stolen halves
+    # would push --group-size samples out of the calibration window.
+    counted = ((event, _kind_counts(event.results)) for event in events
+               if args.group_size is not None
+               and event.kind == "result" and event.ok
+               and not event.from_cache and event.results)
+    timing_samples = [
+        {"kinds": kinds, "wall_time_s": event.wall_time_s,
+         "worker": event.worker}
+        for event, kinds in counted if len(kinds) == 1
+    ]
     worker_stats = transport.worker_stats() if transport is not None \
         else None
     # On the TCP fabric "workers" means agents that survived to the end
@@ -492,7 +470,7 @@ def _campaign_run(args, jobs, cache, history, transport, begin) -> int:
     report = CampaignReport(jobs, results, workers=workers,
                             wall_time_s=time.monotonic() - begin,
                             cache_stats=cache.stats() if cache else None,
-                            schedule=schedule, steals=steals,
+                            schedule=args.schedule, steals=steals,
                             transport=args.transport,
                             worker_stats=worker_stats,
                             frontend_time_s=frontend)
@@ -540,8 +518,8 @@ def _campaign_run(args, jobs, cache, history, transport, begin) -> int:
         record = build_record(
             report,
             config={"transport": args.transport, "workers": report.workers,
-                    "granularity": args.granularity,
-                    "schedule": schedule, "group_size": args.group_size,
+                    "schedule": args.schedule,
+                    "group_size": args.group_size,
                     "depth": args.depth, "frames": args.frames,
                     "variants": args.variants, "cases": args.cases},
             metrics=METRICS.snapshot(), span_count=len(spans))

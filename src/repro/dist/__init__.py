@@ -11,8 +11,8 @@ Three layers:
 * :mod:`repro.dist.protocol` — the versioned, size-framed
   newline-delimited-JSON wire format (hello/capabilities, task, event,
   result, heartbeat, steal/steal-grant, shutdown) plus the unit codec
-  that ships :class:`~repro.api.task.PropertyTask` /
-  :class:`~repro.campaign.jobs.CampaignJob` payloads across the wire;
+  that ships :class:`~repro.api.task.PropertyTask` payloads across the
+  wire;
 * :mod:`repro.dist.worker` — the standalone worker agent
   (``autosva worker --connect HOST:PORT --slots N``): compiles designs
   on first sight through its own process-local compile cache, runs each

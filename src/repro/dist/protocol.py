@@ -49,9 +49,8 @@ Unit codec
 
 ``task`` messages carry a *unit* — any registered schedulable job type —
 as plain JSON.  :func:`register_unit` maps a type name to (class, encode,
-decode, runner); :class:`~repro.api.task.PropertyTask` and
-:class:`~repro.campaign.jobs.CampaignJob` are built in, and worker-side
-plugins (``autosva worker --preload module``) can add more.  The decode
+decode, runner); :class:`~repro.api.task.PropertyTask` is built in, and
+worker-side plugins (``autosva worker --preload module``) can add more.  The decode
 path reconstructs frozen dataclasses exactly (tuples, nested
 :class:`~repro.formal.engine.EngineConfig`), so a round-tripped unit
 compares ``==`` to the original — the property the fuzz tests pin down.
@@ -327,36 +326,12 @@ def _decode_property_task(data: Dict[str, object]):
         order=tuple(int(n) for n in data.get("order", ())))
 
 
-def _encode_campaign_job(job) -> Dict[str, object]:
-    body = dataclasses.asdict(job)
-    body["engine_config"] = _encode_config(job.engine_config)
-    return body
-
-
-def _decode_campaign_job(data: Dict[str, object]):
-    from ..campaign.jobs import CampaignJob
-
-    return CampaignJob(
-        job_id=data["job_id"], case_id=data["case_id"],
-        case_name=data["case_name"], dut_module=data["dut_module"],
-        variant=data["variant"], dut_file=data["dut_file"],
-        extra_files=tuple(data.get("extra_files", ())),
-        engine_config=_decode_config(data["engine_config"]),
-        expect_proof=data.get("expect_proof"),
-        expect_cex=data.get("expect_cex"),
-        config_index=data.get("config_index"))
-
-
 def _register_builtins() -> None:
     from ..api.task import PropertyTask, execute_task
-    from ..campaign.jobs import CampaignJob, execute_job
 
     register_unit("property-task", PropertyTask,
                   _encode_property_task, _decode_property_task,
                   execute_task)
-    register_unit("campaign-job", CampaignJob,
-                  _encode_campaign_job, _decode_campaign_job,
-                  execute_job)
 
 
 _register_builtins()

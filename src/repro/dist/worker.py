@@ -5,9 +5,9 @@ tasks for a coordinator.  The agent's main loop never checks a property
 itself — it multiplexes the coordinator socket and its forked children's
 result pipes through one ``multiprocessing.connection.wait`` call:
 
-* a ``task`` frame decodes into a registered unit
-  (:class:`~repro.api.task.PropertyTask` /
-  :class:`~repro.campaign.jobs.CampaignJob`) and joins the pending queue;
+* a ``task`` frame decodes into a registered unit (a
+  :class:`~repro.api.task.PropertyTask`, or a ``--preload`` plugin's
+  type) and joins the pending queue;
 * starting a task first **compiles the design on first sight** through
   this process's own :data:`~repro.api.compile.COMPILE_CACHE`
   (bracketed by ``compile_started``/``compile_done`` events so the
@@ -256,14 +256,13 @@ class WorkerAgent:
     def _ensure_compiled(self, unit) -> None:
         """First-sight parent-side compile so children inherit it.
 
-        Only property tasks carry their merged sources by value; design
-        jobs compile inside :func:`~repro.campaign.jobs.execute_job` and
-        are left to the child.  Compile failures are swallowed here: the
-        child fails the same way and reports a proper per-task error.
+        Units without merged sources and a DUT module (plugin units)
+        have nothing to compile.  Compile failures are swallowed here:
+        the child fails the same way and reports a proper per-task error.
         """
         sources = getattr(unit, "sources", None)
         module = getattr(unit, "dut_module", None)
-        if not sources or not module or callable(sources):
+        if not sources or not module:
             return
         from ..api.compile import compile_design, design_key
 

@@ -25,9 +25,8 @@ is *set-at-a-time*, the way production FV tools work on a property set:
 * proof attempts receive the sweep's warm state through
   :class:`~repro.formal.engines.ProofContext`: k-induction base cases
   extend the sweep's frames and skip the depths the sweep already
-  cleared.  (PDR runs deliberately get *fresh* solver state per property
-  — sharing was measured and rejected, see ``_proof_context``;
-  :class:`~repro.formal.pdr.PdrContext` remains an explicit opt-in.);
+  cleared.  (PDR runs get *fresh* solver state per property — sharing
+  was measured slower, see ``benchmarks/README.md``.);
 * a proof backend that reports a counterexample *depth* beyond the sweep
   bound gets its trace regenerated by resuming BMC past the cleared bound
   (``start_depth``), never by re-hunting from zero.
@@ -288,15 +287,7 @@ class FormalEngine:
         return self._hunt
 
     def _proof_context(self) -> ProofContext:
-        """Context for safety proofs on the probe system.
-
-        Deliberately carries no shared ``PdrContext``: corpus-wide A/B
-        measurement showed PDR runs on a warm shared solver take ~30% more
-        conflicts and ~2x the decisions (accumulated learned state steers
-        later properties' searches off course), costing more than the
-        two-frame re-encode it saves.  k-induction's hunt-frame reuse has
-        no such feedback loop and stays.
-        """
+        """Context for safety proofs on the probe system."""
         return ProofContext(hunt_unroller=self._hunt_unroller(),
                             cleared_depth=self.config.max_bound)
 

@@ -573,8 +573,9 @@ class Solver:
 
         Assigned variables fixed at the root are unlinked as the walk
         passes them: they can never be unassigned again, and PDR retires
-        every activation literal with a root unit, so without unlinking
-        thousands of dead literals would be re-walked on every query.
+        each query's activation literal with a root unit, so without
+        unlinking thousands of dead literals would be re-walked on every
+        query.
         """
         assign = self._assign
         level = self._level

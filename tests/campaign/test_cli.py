@@ -26,7 +26,7 @@ class TestCampaignCli:
         jsonl = tmp_path / "trace.jsonl"
         record = tmp_path / "record.json"
         rc = cli_main(["campaign", "--cases", "A2", "--workers", "2",
-                       "--granularity", "property",
+                       "--group-size", "1",
                        "--trace", str(trace),
                        "--trace-jsonl", str(jsonl),
                        "--metrics",
@@ -42,16 +42,27 @@ class TestCampaignCli:
         from repro.obs.record import validate_record
         data = json.loads(record.read_text())
         validate_record(data)
-        assert data["config"]["granularity"] == "property"
+        assert data["config"]["group_size"] == 1
         assert data["span_count"] > 0
         # Tracing is per-run: a later untraced campaign stays clean.
         from repro.obs import TRACER
         assert not TRACER.enabled
 
+    def test_default_record_names_each_jobs_worker(self, tmp_path, capsys):
+        # Whole-design groups run each job as one task on one worker (a
+        # single worker never steals, so no job is split).
+        record = tmp_path / "record.json"
+        rc = cli_main(["campaign", "--cases", "A2", "--workers", "1",
+                       "--execution-record", str(record)])
+        assert rc == 0
+        capsys.readouterr()
+        tasks = json.loads(record.read_text())["tasks"]
+        assert tasks and all(":" in task["worker"] for task in tasks)
+
     def test_report_json_carries_phases(self, tmp_path, capsys):
         json_out = tmp_path / "report.json"
         rc = cli_main(["campaign", "--cases", "A2", "--workers", "1",
-                       "--granularity", "property",
+                       "--group-size", "1",
                        "--json", str(json_out)])
         assert rc == 0
         capsys.readouterr()
@@ -76,6 +87,9 @@ class TestCampaignCli:
                          "--transport", "tcp"]) == 1
         assert cli_main(["campaign", "--spawn-workers", "-1"]) == 1
         assert cli_main(["campaign", "--min-workers", "0"]) == 1
+        # Every campaign runs property tasks, sized by --group-size;
+        # there is no unit switch.
+        assert cli_main(["campaign", "--granularity", "design"]) == 1
         capsys.readouterr()
 
     def test_help_exits_0(self, capsys):

@@ -21,22 +21,11 @@ Covers the four layers of the pipeline refactor:
 import pytest
 
 from repro.campaign import (ArtifactCache, CampaignHistory, CostModel,
-                            expand_jobs, pack_lpt, run_campaign,
-                            run_property_campaign, shard_jobs)
+                            expand_jobs, pack_lpt, run_property_campaign,
+                            shard_jobs, verdict_contract)
 from repro.formal import EngineConfig
 
 FAST = EngineConfig(max_bound=6, max_frames=25)
-
-
-def _strip(results):
-    out = []
-    for result in results:
-        payload = dict(result.payload or {})
-        payload.pop("engine_time_s", None)
-        payload.pop("solve_time_s", None)
-        payload.pop("solver", None)
-        out.append((result.job_id, result.status, result.error, payload))
-    return out
 
 
 class TestCostModel:
@@ -144,7 +133,8 @@ class TestStealingDeterminism:
         runs = {workers: run_property_campaign(jobs, workers=workers,
                                                schedule="cost")
                 for workers in (1, 2, 4)}
-        assert _strip(runs[1]) == _strip(runs[2]) == _strip(runs[4])
+        assert verdict_contract(runs[1]) == verdict_contract(runs[2]) \
+            == verdict_contract(runs[4])
         assert [r.job_id for r in runs[1]] == [j.job_id for j in jobs]
 
     def test_cost_schedule_matches_inventory_and_design(self):
@@ -152,8 +142,9 @@ class TestStealingDeterminism:
         cost = run_property_campaign(jobs, workers=2, schedule="cost")
         inventory = run_property_campaign(jobs, workers=2,
                                           schedule="inventory")
-        whole = run_campaign(jobs, workers=2)
-        assert _strip(cost) == _strip(inventory) == _strip(whole)
+        whole = run_property_campaign(jobs, workers=2, group_size=None)
+        assert verdict_contract(cost) == verdict_contract(inventory) \
+            == verdict_contract(whole)
 
     def test_forced_steal_preserves_verdicts(self):
         """One giant group + 4 workers forces tail re-splits; merged
@@ -161,8 +152,8 @@ class TestStealingDeterminism:
         jobs = expand_jobs(case_ids=["A2"], config=FAST)
         stolen = run_property_campaign(jobs, workers=4, group_size=100,
                                        schedule="cost")
-        whole = run_campaign(jobs, workers=1)
-        assert _strip(stolen) == _strip(whole)
+        whole = run_property_campaign(jobs, workers=1, group_size=None)
+        assert verdict_contract(stolen) == verdict_contract(whole)
         assert sum(r.steals for r in stolen) >= 1
 
     def test_inventory_schedule_never_steals(self):
@@ -232,7 +223,7 @@ class TestCachedReplayTimes:
                                      cache=cache)
         warm = run_property_campaign(jobs, workers=2, schedule="cost",
                                      cache=cache)
-        assert _strip(cold) == _strip(warm)
+        assert verdict_contract(cold) == verdict_contract(warm)
         for cold_result, warm_result in zip(cold, warm):
             assert not cold_result.from_cache and warm_result.from_cache
             assert warm_result.original_wall_time_s is not None
@@ -247,8 +238,10 @@ class TestCachedReplayTimes:
                                                              tmp_path):
         jobs = expand_jobs(case_ids=["A2"], config=FAST)
         cache = ArtifactCache(tmp_path)
-        cold = run_campaign(jobs, workers=1, cache=cache)
-        warm = run_campaign(jobs, workers=1, cache=cache)
+        cold = run_property_campaign(jobs, workers=1, group_size=None,
+                                     cache=cache)
+        warm = run_property_campaign(jobs, workers=1, group_size=None,
+                                     cache=cache)
         assert warm[0].from_cache
         assert warm[0].original_wall_time_s == pytest.approx(
             cold[0].wall_time_s, rel=0.5, abs=0.5)
@@ -258,8 +251,10 @@ class TestCachedReplayTimes:
 
         jobs = expand_jobs(case_ids=["A2"], config=FAST)
         cache = ArtifactCache(tmp_path)
-        run_campaign(jobs, workers=1, cache=cache)
-        warm = run_campaign(jobs, workers=1, cache=cache)
+        run_property_campaign(jobs, workers=1, group_size=None,
+                              cache=cache)
+        warm = run_property_campaign(jobs, workers=1, group_size=None,
+                                     cache=cache)
         report = CampaignReport(jobs, warm, schedule="cost", steals=2)
         exported = report.as_dict()["results"][0]
         assert exported["from_cache"] is True

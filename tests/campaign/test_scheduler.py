@@ -1,7 +1,9 @@
 """Scheduler contract tests: determinism, isolation, bounds, caching.
 
-The runners used to provoke failures are module-level functions so forked
-workers resolve them regardless of start method.
+Real model checking goes through ``run_property_campaign`` (whole-design
+groups, the CLI default); the list-shaped ``run_campaign`` shim drives
+the pool with synthetic runners.  Those runners are module-level
+functions so forked workers resolve them regardless of start method.
 """
 
 import dataclasses
@@ -10,8 +12,9 @@ import time
 
 import pytest
 
-from repro.campaign import (ArtifactCache, CampaignJob, expand_jobs,
-                            run_campaign)
+from repro.campaign import (ArtifactCache, CampaignJob, Scheduler,
+                            expand_jobs, run_campaign,
+                            run_property_campaign, verdict_contract)
 from repro.formal import EngineConfig
 
 FAST_CONFIG = EngineConfig(max_bound=6, max_frames=25)
@@ -28,16 +31,10 @@ def _dummy_job(job_id="dummy", dut_file="ariane/tlb.sv"):
         engine_config=FAST_CONFIG)
 
 
-def _comparable(results):
-    """Everything that must be identical across worker counts."""
-    out = []
-    for result in results:
-        payload = dict(result.payload or {})
-        payload.pop("engine_time_s", None)  # timing is not part of the contract
-        payload.pop("solve_time_s", None)
-        payload.pop("solver", None)   # counters vary with grouping/steals
-        out.append((result.job_id, result.status, result.error, payload))
-    return out
+def _run_designs(jobs, workers, **kwargs):
+    """Run real jobs the way the CLI does by default: one task per design."""
+    return run_property_campaign(jobs, workers=workers, group_size=None,
+                                 **kwargs)
 
 
 # -- runners for failure-injection tests (top-level: fork/spawn safe) -----
@@ -68,16 +65,16 @@ def _stamping_runner(job):
 class TestDeterminism:
     def test_results_identical_across_worker_counts(self):
         jobs = _fast_jobs()
-        serial = run_campaign(jobs, workers=1)
-        parallel = run_campaign(jobs, workers=4)
+        serial = _run_designs(jobs, workers=1)
+        parallel = _run_designs(jobs, workers=4)
         assert [r.job_id for r in serial] == [j.job_id for j in jobs]
-        assert _comparable(serial) == _comparable(parallel)
+        assert verdict_contract(serial) == verdict_contract(parallel)
 
     def test_order_is_job_order_not_completion_order(self):
         # A slow job first, fast ones after: completion order inverts, the
         # result list must not.
         jobs = _fast_jobs(("O1",)) + _fast_jobs(("A2",))
-        results = run_campaign(jobs, workers=4)
+        results = _run_designs(jobs, workers=4)
         assert [r.job_id for r in results] == [j.job_id for j in jobs]
 
 
@@ -86,7 +83,7 @@ class TestFailureIsolation:
         jobs = [_dummy_job("good"),
                 _dummy_job("bad", dut_file="ariane/does_not_exist.sv"),
                 _dummy_job("good2")]
-        results = run_campaign(jobs, workers=2)
+        results = _run_designs(jobs, workers=2)
         assert [r.job_id for r in results] == ["good", "bad", "good2"]
         assert results[0].ok and results[2].ok
         assert results[1].status == "error"
@@ -116,20 +113,28 @@ class TestFailureIsolation:
 
     def test_bad_worker_count_rejected(self):
         with pytest.raises(ValueError):
-            run_campaign([_dummy_job()], workers=0)
+            run_campaign([_dummy_job()], runner=_echo_runner, workers=0)
+
+    def test_runner_is_keyword_only(self):
+        # A positional worker count must fail at the call site, not as
+        # "int is not callable" error results from inside each worker.
+        with pytest.raises(TypeError):
+            run_campaign([_dummy_job()], 2)
+        with pytest.raises(TypeError):
+            Scheduler([_dummy_job()], 2)
 
 
 class TestCache:
     def test_second_run_served_from_cache(self, tmp_path):
         jobs = _fast_jobs(("A2",))
         cache = ArtifactCache(tmp_path)
-        first = run_campaign(jobs, workers=1, cache=cache)
+        first = _run_designs(jobs, workers=1, cache=cache)
         assert not any(r.from_cache for r in first)
         begin = time.monotonic()
-        second = run_campaign(jobs, workers=1, cache=cache)
+        second = _run_designs(jobs, workers=1, cache=cache)
         assert all(r.from_cache for r in second)
         assert time.monotonic() - begin < 1.0
-        assert _comparable(first) == _comparable(second)
+        assert verdict_contract(first) == verdict_contract(second)
 
     def test_config_change_invalidates(self, tmp_path):
         cache = ArtifactCache(tmp_path)
@@ -147,7 +152,7 @@ class TestCache:
     def test_failed_jobs_are_not_cached(self, tmp_path):
         cache = ArtifactCache(tmp_path)
         jobs = [_dummy_job("bad", dut_file="ariane/does_not_exist.sv")]
-        run_campaign(jobs, workers=1, cache=cache)
+        _run_designs(jobs, workers=1, cache=cache)
         assert cache.stats()["entries"] == 0
 
     def test_progress_callback_sees_every_job(self, tmp_path):
@@ -164,8 +169,6 @@ class TestStreamingSource:
         scheduler goes back to the source (a pull can block on the next
         design's frontend compile).  The workers' own start timestamps
         prove the jobs ran during the source's block, not after it."""
-        from repro.campaign.scheduler import Scheduler
-
         def source():
             yield _dummy_job("a0")
             yield _dummy_job("a1")
@@ -200,7 +203,8 @@ class TestDeadlineLatency:
         from repro.campaign.scheduler import (_IDLE_WAIT_S, Scheduler,
                                               _Running)
 
-        scheduler = Scheduler([], workers=2, timeout_s=30.0)
+        scheduler = Scheduler([], runner=_echo_runner, workers=2,
+                              timeout_s=30.0)
         now = time_mod.monotonic()
 
         def slot(deadline):

@@ -1,11 +1,10 @@
-"""Warm property-granularity reruns: the shard-plan cache.
+"""Warm campaign reruns: the shard-plan cache.
 
 A cold ``run_property_campaign`` with a cache pays, per job, one FT
 generation + one compile (parent-side) and stores both the per-task
 results *and* the shard plan.  The warm rerun must rebuild its task list
 from the cached plan — zero FT generations, zero compiles — and replay
-every task result from disk, making warm property reruns as instant as
-design-granularity ones (the ROADMAP "property-level result reuse" gap).
+every task result from disk, at any group size.
 """
 
 import pytest
@@ -93,10 +92,33 @@ class TestShardPlanCache:
         job = jobs[0]
         base = sharding._plan_key(job, group_size=1)
         assert sharding._plan_key(job, group_size=2) != base
+        # Whole-design groups (group_size=None) plan under their own key.
+        assert sharding._plan_key(job, group_size=None) != base
         import dataclasses
         other = dataclasses.replace(job, engine_config=EngineConfig(
             max_bound=7, max_frames=20))
         assert sharding._plan_key(other, group_size=1) != base
+
+    def test_warm_default_cli_rerun_compiles_nothing(self, tmp_path,
+                                                    monkeypatch, capsys):
+        """The CLI default (one task per design) replays a warm
+        ``--cache-dir`` rerun without any FT generation or compile."""
+        from repro.core.cli import main as cli_main
+
+        argv = ["campaign", "--cases", "A2", "--workers", "1",
+                "--cache-dir", str(tmp_path / "cache")]
+        assert cli_main(argv) == 0
+        calls = _count_ft_calls(monkeypatch)
+        COMPILE_CACHE.clear()
+        compiles_before = COMPILE_CACHE.compiles
+        capsys.readouterr()
+        assert cli_main(argv) == 0
+        assert calls["n"] == 0
+        assert COMPILE_CACHE.compiles == compiles_before
+        out = capsys.readouterr().out
+        assert "(plan cached)" in out
+        assert "A2.fixed/p0 (cached" in out
+        assert "A2.fixed/p1" not in out     # one task per design
 
     def test_corrupt_plan_entry_falls_back(self, jobs, tmp_path):
         cache = ArtifactCache(tmp_path / "cache")

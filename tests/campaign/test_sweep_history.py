@@ -244,7 +244,7 @@ class TestTimingWorkerIdentity:
     def test_cli_records_worker_identity(self, tmp_path, capsys):
         hist = tmp_path / "runs.jsonl"
         assert cli_main(["campaign", "--cases", "A1",
-                         "--granularity", "property", "--workers", "1",
+                         "--group-size", "1", "--workers", "1",
                          "--history", str(hist)]) == 0
         capsys.readouterr()
         records = [json.loads(line)
@@ -253,6 +253,7 @@ class TestTimingWorkerIdentity:
         assert timing, "property campaign should append timing samples"
         for sample in timing[0]["samples"]:
             assert ":" in sample["worker"]
+            assert len(sample["kinds"]) == 1
 
 
 class TestHistoryAtomicity:

@@ -32,9 +32,9 @@ def _decode(data):
                      value=data["value"])
 
 
-def _run(task):
+def run_sleep(task):
     time.sleep(task.seconds)
     return {"value": task.value, "pid": os.getpid()}
 
 
-register_unit("sleep-task", SleepTask, _encode, _decode, _run)
+register_unit("sleep-task", SleepTask, _encode, _decode, run_sleep)

@@ -6,7 +6,7 @@ bit-identical to the local multiprocessing transport — per job id,
 status, error and payload (wall times excluded: they are measurements,
 not verdicts) — across worker counts and schedules.  The full-corpus
 version of this gate lives in
-``tests/integration/test_dist_corpus.py`` and ``make dist-smoke``.
+``tests/integration/test_campaign_corpus.py`` and ``make dist-smoke``.
 """
 
 import socket
@@ -14,8 +14,8 @@ import time
 
 import pytest
 
-from repro.campaign import (expand_jobs, run_campaign,
-                            run_property_campaign, verdict_contract)
+from repro.campaign import (expand_jobs, run_property_campaign,
+                            verdict_contract)
 from repro.dist import TcpTransport
 from repro.dist.protocol import FrameDecoder, encode_frame
 from repro.formal.engine import EngineConfig
@@ -58,13 +58,17 @@ class TestLoopbackEquivalence:
                                         transport=transport)
         assert verdict_contract(results) == a1_local_baseline
 
-    def test_design_granularity_matches_local(self, a1_jobs):
-        local = verdict_contract(run_campaign(a1_jobs, workers=2))
+    def test_design_granularity_matches_local(self, a1_jobs,
+                                              a1_local_baseline):
+        """Whole-design groups: each design ships as one task."""
         transport = _tcp_transport(2)
-        remote = verdict_contract(run_campaign(a1_jobs, transport=transport))
-        assert remote == local
-        # Every job reports the remote agent that executed it.
-        results = run_campaign(a1_jobs, transport=_tcp_transport(1))
+        results = run_property_campaign(a1_jobs, group_size=None,
+                                        schedule="inventory",
+                                        transport=transport)
+        assert verdict_contract(results) == a1_local_baseline
+        stats = transport.worker_stats()
+        assert sum(s["tasks"] for s in stats) == len(a1_jobs)
+        # Every job ran as one task and names the remote agent that ran it.
         assert all(r.worker and ":" in r.worker for r in results)
 
     def test_result_events_carry_remote_worker_ids(self, a1_jobs):
@@ -166,8 +170,8 @@ class TestCliTcp:
 
         json_out = tmp_path / "dist.json"
         rc = cli_main(["campaign", "--cases", "A1", "--transport", "tcp",
-                       "--spawn-workers", "2", "--granularity",
-                       "property", "--json", str(json_out)])
+                       "--spawn-workers", "2", "--group-size", "1",
+                       "--json", str(json_out)])
         out = capsys.readouterr().out
         assert rc == 0
         assert "Coordinator listening on 127.0.0.1:" in out

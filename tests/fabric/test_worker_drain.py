@@ -55,7 +55,8 @@ class TestGracefulDrain:
                 slowunit.SleepTask("e", 0.4, "E"),
                 slowunit.SleepTask("f", 0.4, "F"),
                 slowunit.SleepTask("g", 3.0, "G")]
-        scheduler = Scheduler(jobs, transport=transport)
+        scheduler = Scheduler(jobs, runner=slowunit.run_sleep,
+                              transport=transport)
         results = {}
         requeue_events = []
         drained = None

@@ -53,7 +53,8 @@ class TestSyntheticKill:
                 slowunit.SleepTask("b", 0.2, "B"),
                 slowunit.SleepTask("c", 0.2, "C"),
                 slowunit.SleepTask("d", 0.2, "D")]
-        scheduler = Scheduler(jobs, transport=transport)
+        scheduler = Scheduler(jobs, runner=slowunit.run_sleep,
+                              transport=transport)
         results = {}
         requeue_events = []
         killed = None
@@ -149,7 +150,8 @@ class TestPoisonIsolation:
         transport.spawn_local(1)          # deliberately no preload
         jobs = [slowunit.SleepTask("p1", 0.1, "P"),
                 slowunit.SleepTask("p2", 0.1, "Q")]
-        scheduler = Scheduler(jobs, transport=transport)
+        scheduler = Scheduler(jobs, runner=slowunit.run_sleep,
+                              transport=transport)
         results = {}
         for event in scheduler.run():
             if event[0] == "done":
@@ -168,6 +170,7 @@ class TestPoisonIsolation:
         transport = TcpTransport(min_workers=1, worker_timeout_s=60.0)
         _spawn_preloaded(transport, 1, monkeypatch)
         scheduler = Scheduler([slowunit.SleepTask("slow", 30.0, "S")],
+                              runner=slowunit.run_sleep,
                               timeout_s=0.5, transport=transport)
         results = [event[3] for event in scheduler.run()
                    if event[0] == "done"]
@@ -203,10 +206,11 @@ class TestTransportLifecycle:
         transport = TcpTransport(min_workers=1, worker_timeout_s=60.0)
         _spawn_preloaded(transport, 1, monkeypatch)
         first = [event for event in Scheduler(
-            [slowunit.SleepTask("t1", 0.1, "A")],
+            [slowunit.SleepTask("t1", 0.1, "A")], runner=slowunit.run_sleep,
             transport=transport).run() if event[0] == "done"]
         assert [e[3].status for e in first] == ["ok"]
         with pytest.raises(AutoSVAError, match="already consumed"):
             for _ in Scheduler([slowunit.SleepTask("t2", 0.1, "B")],
+                               runner=slowunit.run_sleep,
                                transport=transport).run():
                 pass

@@ -12,7 +12,7 @@ from repro.core import generate_ft
 from repro.designs import case_by_id
 from repro.formal import EngineConfig, FormalEngine
 from repro.formal.aig import FALSE
-from repro.formal.pdr import PdrContext, pdr_prove
+from repro.formal.pdr import pdr_prove
 from repro.formal.sat import Solver
 
 
@@ -59,19 +59,6 @@ def test_report_counts_every_solve(tlb, solve_calls, batched, proof_engine):
         assert report.solver["solve_calls"] == len(solve_calls) - before
     assert {r.kind for r in report.results} >= {"cover", "live"}
     assert len({id(solver) for solver in solve_calls}) > 1
-
-
-def test_pdr_runs_on_a_shared_context_report_their_own_delta(tlb):
-    system = tlb.system()
-    context = PdrContext(system)
-    totals = {}
-    for prop in system.asserts:
-        result = pdr_prove(system, prop.lit, max_frames=30, context=context)
-        for key, value in result.solver_stats.items():
-            totals[key] = totals.get(key, 0) + value
-    context_stats = context.solver.stats.as_dict()
-    assert totals["solve_calls"] == context_stats["solve_calls"] > 0
-    assert totals["conflicts"] == context_stats["conflicts"]
 
 
 def test_trivial_pdr_run_reports_counters(tlb):
