@@ -78,4 +78,4 @@ perf-smoke:
 	$(PYTHON) benchmarks/bench_formal_hotpath.py --quick --check
 
 verify: test corpus-check smoke-campaign smoke-property pipeline-smoke \
-	dist-smoke obs-smoke service-smoke
+	dist-smoke obs-smoke service-smoke chaos-smoke perf-smoke

@@ -21,10 +21,11 @@ Design points:
   event ordering — so transports can only change *where* cycles burn,
   never what the campaign concludes.
 * **Event-driven waiting** — the pool blocks in
-  :func:`multiprocessing.connection.wait` on the worker pipes instead of
-  polling each one on a fixed interval.  The wait timeout is bounded by
-  the nearest per-job deadline, so wall-clock limits fire within
-  :data:`_DEADLINE_SLACK_S` of expiry instead of a poll period later.
+  :func:`multiprocessing.connection.wait` on the worker pipes and the
+  transport's wake handle instead of polling each one on a fixed
+  interval.  The wait timeout is bounded by the nearest per-job
+  deadline, so wall-clock limits fire within :data:`_DEADLINE_SLACK_S`
+  of expiry instead of a poll period later.
 * **Work stealing** — when the source is exhausted and more worker slots
   are free than jobs are queued, the scheduler asks ``split`` to re-split
   the costliest queued job and issues the halves, keeping the tail of a
@@ -69,8 +70,12 @@ campaign service's broker) may yield ``None`` to say "temporarily dry —
 nothing admissible right now, but do not treat me as exhausted".  The
 scheduler then stops pulling for the current round and re-probes the
 source on the next one; only :class:`StopIteration` ends the run.  A
-blocking source should bound its own internal wait (~0.1s) so the idle
-loop stays responsive without busy-spinning.  :meth:`Scheduler.cancel_where`
+source never blocks: the scheduler waits in exactly one place, inside
+the transport's :meth:`~LocalTransport.step`, on worker results and a
+wake handle at once.  Whatever makes a dry source runnable again from
+another thread calls ``transport.wake()``, which ends that wait; the
+source is also re-probed after every ``step()`` and after the consumer
+has handled the events a probe produced.  :meth:`Scheduler.cancel_where`
 is the matching retraction hook: it cancels queued (and
 transport-returned) jobs without touching verdicts of work already
 running.
@@ -332,6 +337,42 @@ def reap_child(conn, process, deadline: Optional[float], now: float,
     return None
 
 
+class _Waker:
+    """The wake handle every transport's ``step()`` also waits on.
+
+    A non-blocking socketpair: :meth:`wake` writes one byte from any
+    thread and never blocks.  The owner waits on this object next to its
+    other handles and calls :meth:`drain` when the wait returns with it
+    ready, so wakes sent before a wait end that wait only.  After
+    :meth:`close`, :meth:`wake` is a no-op.
+    """
+
+    def __init__(self) -> None:
+        self._reader, self._writer = socket.socketpair()
+        self._reader.setblocking(False)
+        self._writer.setblocking(False)
+
+    def fileno(self) -> int:
+        return self._reader.fileno()
+
+    def wake(self) -> None:
+        try:
+            self._writer.send(b"\0")
+        except OSError:
+            pass              # buffer full (already woken) or closed
+
+    def drain(self) -> None:
+        try:
+            while self._reader.recv(4096):
+                pass
+        except BlockingIOError:
+            pass              # drained: nothing left to read
+
+    def close(self) -> None:
+        self._reader.close()
+        self._writer.close()
+
+
 class LocalTransport:
     """The default execution backend: forked processes on this host.
 
@@ -342,24 +383,23 @@ class LocalTransport:
     * :meth:`free_slots` / :meth:`in_flight` — capacity accounting;
     * :meth:`dispatch` — start one job, honoring a worker-exclusion set
       (returns False when no acceptable slot exists right now);
-    * :meth:`step` — block (bounded) until something happens; return
-      ``(finished, requeued)`` where ``finished`` is
-      ``[(index, job, JobResult), ...]`` and ``requeued`` is
-      ``[(index, job, dead_worker_id_or_None), ...]`` — jobs the
-      transport gives back (worker death, steal grants);
+    * :meth:`step` — block (bounded) until something happens, a
+      :meth:`wake` included; return ``(finished, requeued)`` where
+      ``finished`` is ``[(index, job, JobResult), ...]`` and
+      ``requeued`` is ``[(index, job, dead_worker_id_or_None), ...]`` —
+      jobs the transport gives back (worker death, steal grants).  This
+      is the scheduler's only wait, idle or not;
+    * :meth:`wake` — end the current (or next) :meth:`step` wait early;
+      callable from any thread and never blocks;
     * :meth:`reclaim` — tail hook: pull back not-yet-started work from
       busy workers, if the transport holds any (no-op here: local
-      dispatch is start);
-    * ``wait_when_idle`` — True when :meth:`step` is meaningful with
-      nothing in flight (a remote pool waits for workers to join; a
-      local fork pool never needs to).
+      dispatch is start).
 
     Locally a "worker" is one forked child per job, so exclusion sets
     and requeues never trigger: a child death is a per-job ``error``
     (failure isolation), not a lost worker.
     """
 
-    wait_when_idle = False
     #: Workers share this process's memory via fork, so parent-side
     #: precompiles reach them.  Remote transports set True — their
     #: agents hold their own compile caches and a parent-side compile
@@ -376,6 +416,7 @@ class LocalTransport:
         self._host = socket.gethostname()
         self._running: List[_Running] = []
         self._context = fork_context()
+        self._waker = _Waker()
 
     def bind(self, runner: Callable, timeout_s: Optional[float],
              memory_limit_mb: Optional[int],
@@ -435,8 +476,11 @@ class LocalTransport:
     def step(self) -> Tuple[List[Tuple[int, object, JobResult]],
                             List[Tuple[int, object, Optional[str]]]]:
         """Collect every finished/expired worker (may be empty)."""
-        mp_connection.wait([slot.conn for slot in self._running],
-                           timeout=self._wait_timeout())
+        ready = mp_connection.wait(
+            [slot.conn for slot in self._running] + [self._waker],
+            timeout=self._wait_timeout())
+        if self._waker in ready:
+            self._waker.drain()
         finished: List[Tuple[int, object, JobResult]] = []
         still: List[_Running] = []
         now = time.monotonic()
@@ -460,6 +504,10 @@ class LocalTransport:
         self._running = still
         return finished, []
 
+    def wake(self) -> None:
+        """End the current (or next) :meth:`step` wait; any thread."""
+        self._waker.wake()
+
     def reclaim(self) -> None:
         """No prefetch locally: every dispatched job is already running."""
 
@@ -473,6 +521,7 @@ class LocalTransport:
             slot.process.terminate()
             slot.process.join()
         self._running = []
+        self._waker.close()
 
 
 @dataclass
@@ -620,7 +669,10 @@ class Scheduler:
         keeps warm reruns local no matter where cold runs executed.
         A ``None`` item marks the source *temporarily dry* (the service
         broker's multiplex seam): stop pulling this round without
-        treating the source as exhausted.
+        treating the source as exhausted.  Such a source returns
+        ``None`` at once rather than waiting for work; the run loop
+        probes it again once the consumer has handled the events this
+        pull produced, and after every ``step()``.
         """
         while not self._exhausted:
             try:
@@ -928,17 +980,20 @@ class Scheduler:
                     len(self._queue))
                 METRICS.gauge("scheduler.in_flight").set(
                     self._transport.in_flight())
-                while self._emit:
-                    event = self._emit.popleft()
-                    yield event
-                    self._fill()
-                if not self._transport.in_flight():
-                    if not self._queue and self._exhausted:
-                        if self._emit:
-                            continue
-                        break
-                    if not self._transport.wait_when_idle:
+                if self._emit:
+                    while self._emit:
+                        event = self._emit.popleft()
+                        yield event
+                        self._fill()
+                    if self._source_blocked:
+                        # The consumer may have made the dry source
+                        # runnable while handling these events (a
+                        # settled task frees its tenant's slot): probe
+                        # it again before waiting.
                         continue
+                if not self._transport.in_flight() and not self._queue \
+                        and self._exhausted:
+                    break
                 finished, requeued = self._transport.step()
                 for index, job, worker_id in requeued:
                     self._requeue(index, job, worker_id)

@@ -32,6 +32,10 @@ Mechanics:
   ``kill -9`` — is declared dead: its in-flight tasks are handed back to
   the scheduler as requeues **excluded from that worker id**, exactly
   once per death, and the campaign converges on the survivors.
+* **Waking** — :meth:`~TcpTransport.step` waits on the listener, the
+  agent sockets and a wake handle together, so :meth:`~TcpTransport.wake`
+  (the campaign service calls it on every submission, cancellation and
+  drain) ends an idle wait at once instead of at the next heartbeat.
 * **Graceful departures** — an agent stopping on SIGTERM/SIGINT
   announces its drain with a worker-sent ``shutdown`` frame naming the
   unstarted tasks it hands back; those requeue immediately (no
@@ -61,7 +65,7 @@ from multiprocessing import connection as mp_connection
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..campaign.scheduler import _IDLE_WAIT_S, JobResult
+from ..campaign.scheduler import _IDLE_WAIT_S, JobResult, _Waker
 from ..obs import METRICS, TRACER, absorb_obs
 from ..obs.log import get_logger
 from ..testing.faults import FAULTS
@@ -247,7 +251,6 @@ class TcpTransport:
     available.
     """
 
-    wait_when_idle = True
     remote = True
 
     def __init__(self, listen: Tuple[str, int] = ("127.0.0.1", 0),
@@ -299,6 +302,7 @@ class TcpTransport:
         self._finished: List[Tuple[int, object, JobResult]] = []
         self._requeue: List[Tuple[int, object, Optional[str]]] = []
         self._closed = False
+        self._waker = _Waker()
 
     # -- scheduler contract ------------------------------------------------
     def bind(self, runner: Callable, timeout_s: Optional[float],
@@ -403,10 +407,12 @@ class TcpTransport:
         self._check_open()
         now = time.monotonic()
         self._maintain(now)
-        waitables = [self._listener] + \
+        waitables = [self._listener, self._waker] + \
             [worker.sock for worker in self._workers]
         ready = mp_connection.wait(waitables,
                                    timeout=self._wait_timeout(now))
+        if self._waker in ready:
+            self._waker.drain()
         if self._listener in ready:
             self._accept()
         now = time.monotonic()
@@ -441,6 +447,10 @@ class TcpTransport:
         self._finished, self._requeue = [], []
         return finished, requeued
 
+    def wake(self) -> None:
+        """End the current (or next) :meth:`step` wait; any thread."""
+        self._waker.wake()
+
     def worker_stats(self) -> List[Dict[str, object]]:
         """Per-agent utilization/steal numbers, departed agents included."""
         now = time.monotonic()
@@ -470,6 +480,7 @@ class TcpTransport:
             self._listener.close()
         except OSError:
             pass
+        self._waker.close()
         for process in self._spawned:
             if process.poll() is None:
                 process.terminate()

@@ -8,6 +8,7 @@ functions so forked workers resolve them regardless of start method.
 
 import dataclasses
 import os
+import threading
 import time
 
 import pytest
@@ -221,6 +222,10 @@ class TestDeadlineLatency:
         # ...and an already-expired deadline means an immediate pass.
         scheduler._running = [slot(now - 1.0)]
         assert scheduler._wait_timeout() == 0.0
+        # Never run, so release the pool here (the fake slots have no
+        # processes to terminate).
+        scheduler._running = []
+        scheduler.transport.close()
 
     def test_timeout_fires_promptly(self):
         """Regression: a 0.4s deadline on a 30s job must be enforced
@@ -235,3 +240,79 @@ class TestDeadlineLatency:
         # directly exposes enforcement latency past the 0.4s deadline.
         assert results[0].wall_time_s >= 0.4
         assert results[0].wall_time_s < 0.4 + 0.3, results[0].wall_time_s
+
+
+class TestWake:
+    """The scheduler waits in one place, ``transport.step()``, and a
+    ``wake()`` from any thread ends that wait.  The idle wait is patched
+    to 30 s, so only a wake can end these waits promptly."""
+
+    def test_wake_ends_an_idle_step(self, monkeypatch):
+        from repro.campaign import scheduler as scheduler_mod
+
+        monkeypatch.setattr(scheduler_mod, "_IDLE_WAIT_S", 30.0)
+        transport = scheduler_mod.LocalTransport(1)
+        timer = threading.Timer(0.2, transport.wake)
+        try:
+            timer.start()
+            begin = time.monotonic()
+            assert transport.step() == ([], [])
+            assert time.monotonic() - begin < 5.0
+        finally:
+            timer.join(timeout=5.0)
+            assert not timer.is_alive()
+            transport.close()
+
+    def test_one_wake_ends_one_wait(self, monkeypatch):
+        """Wakes sent before a step end that step only: they never pile
+        up into a run of zero-length waits."""
+        from repro.campaign import scheduler as scheduler_mod
+
+        monkeypatch.setattr(scheduler_mod, "_IDLE_WAIT_S", 0.5)
+        transport = scheduler_mod.LocalTransport(1)
+        try:
+            for _ in range(3):
+                transport.wake()
+            begin = time.monotonic()
+            transport.step()
+            assert time.monotonic() - begin < 0.25
+            begin = time.monotonic()
+            transport.step()
+            assert time.monotonic() - begin >= 0.45
+        finally:
+            transport.close()
+
+    def test_dry_source_resumes_on_wake_without_spinning(self, monkeypatch):
+        """A source yields ``None`` (dry) until another thread makes it
+        runnable and wakes the transport: the run ends promptly, and the
+        dry source is probed a few times, not in a tight loop."""
+        from repro.campaign import scheduler as scheduler_mod
+
+        monkeypatch.setattr(scheduler_mod, "_IDLE_WAIT_S", 30.0)
+        runnable = threading.Event()
+        dry_probes = []
+
+        def source():
+            while not runnable.is_set():
+                dry_probes.append(time.monotonic())
+                yield None
+            yield _dummy_job("late")
+
+        scheduler = Scheduler(source(), runner=_echo_runner, workers=1)
+
+        def release():
+            runnable.set()
+            scheduler.transport.wake()
+
+        timer = threading.Timer(0.3, release)
+        timer.start()
+        begin = time.monotonic()
+        try:
+            done = [event[3].job_id for event in scheduler.run()
+                    if event[0] == "done"]
+        finally:
+            timer.join(timeout=5.0)
+            assert not timer.is_alive()
+        assert done == ["late"]
+        assert time.monotonic() - begin < 10.0
+        assert 1 <= len(dry_probes) <= 3, len(dry_probes)

@@ -10,6 +10,8 @@ version of this gate lives in
 """
 
 import socket
+import statistics
+import threading
 import time
 
 import pytest
@@ -336,3 +338,61 @@ class TestReviewRegressions:
 
         assert worker_main(["--connect", "host:99999"]) == 1
         assert "HOST:PORT" in capsys.readouterr().err
+
+
+class TestWake:
+    """``TcpTransport.wake()`` ends the coordinator's wait.  The idle
+    wait and the heartbeat are 30 s here, so only a wake (or an agent's
+    frame) can end a wait promptly."""
+
+    def test_wake_ends_an_idle_step(self, monkeypatch):
+        import repro.dist.coordinator as coordinator
+
+        monkeypatch.setattr(coordinator, "_IDLE_WAIT_S", 30.0)
+        transport = TcpTransport(min_workers=1, heartbeat_s=30.0)
+        timer = threading.Timer(0.2, transport.wake)
+        try:
+            timer.start()
+            begin = time.monotonic()
+            assert transport.step() == ([], [])
+            assert time.monotonic() - begin < 5.0
+        finally:
+            timer.join(timeout=5.0)
+            assert not timer.is_alive()
+            transport.close()
+
+    def test_broker_settles_cache_served_resubmission(self, monkeypatch,
+                                                      tmp_path):
+        """A submission to an idle fleet wakes the coordinator: a
+        cache-served resubmission settles well inside the 30 s wait."""
+        import repro.dist.coordinator as coordinator
+        from repro.campaign import ArtifactCache
+        from repro.service import CampaignBroker, CampaignSpec
+
+        monkeypatch.setattr(coordinator, "_IDLE_WAIT_S", 30.0)
+        transport = _tcp_transport(1, heartbeat_s=30.0,
+                                   liveness_timeout_s=300.0)
+        broker = CampaignBroker(
+            transport=transport,
+            cache=ArtifactCache(tmp_path / "cache")).start()
+
+        def settled(campaign, timeout_s):
+            deadline = time.monotonic() + timeout_s
+            while not campaign.settled:
+                assert broker.running, f"broker died: {broker._fatal}"
+                assert time.monotonic() < deadline, "never settled"
+                time.sleep(0.01)
+            assert campaign.status == "completed"
+            return campaign.wall_time_s
+
+        try:
+            spec = dict(tenant="t1", case_ids=["A2"], variants=["fixed"])
+            settled(broker.submit(CampaignSpec(**spec)), 120.0)
+            walls = []
+            for _ in range(3):
+                time.sleep(0.3)      # the broker is back in its idle wait
+                walls.append(settled(broker.submit(CampaignSpec(**spec)),
+                                     60.0))
+        finally:
+            broker.close()
+        assert statistics.median(walls) < 1.0, walls

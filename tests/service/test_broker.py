@@ -10,15 +10,20 @@ The acceptance contract of the service tentpole, asserted broker-level
 * each campaign's event feed is isolated — no cross-campaign leakage;
 * every completed campaign yields a digest-validated ExecutionRecord;
 * quota rejections happen before any allocation and consume zero fabric
-  slots; a tenant over wall budget has its open campaigns cancelled.
+  slots; a tenant over wall budget has its open campaigns cancelled;
+* the broker never polls: a cache-served campaign settles as soon as its
+  replays are in, and no submission's wake-up is lost.
 """
 
+import statistics
+import sys
+import threading
 import time
 
 import pytest
 
-from repro.campaign import (expand_jobs, run_property_campaign,
-                            verdict_contract)
+from repro.campaign import (ArtifactCache, expand_jobs,
+                            run_property_campaign, verdict_contract)
 from repro.formal.engine import EngineConfig
 from repro.service import (CampaignBroker, CampaignSpec, QuotaError,
                            TenantQuota, TenantRegistry)
@@ -163,3 +168,102 @@ class TestQuotaEnforcement:
             broker.submit(_spec("alice", ["A1"]))
         assert info.value.code == "service_shutting_down"
         assert info.value.http_status == 503
+
+
+class TestWakeups:
+    """Submissions wake the broker thread; nothing waits on a timer."""
+
+    def test_cache_served_resubmission_settles_at_once(self, tmp_path):
+        broker = CampaignBroker(
+            workers=2, cache=ArtifactCache(tmp_path / "cache")).start()
+        try:
+            first = broker.submit(_spec("alice", ["A2"]))
+            _settle(broker, [first])
+            assert first.status == "completed"
+            walls = []
+            for _ in range(5):
+                again = broker.submit(_spec("alice", ["A2"]))
+                _settle(broker, [again], timeout_s=30.0)
+                assert again.status == "completed"
+                assert verdict_contract(again.results) == \
+                    verdict_contract(first.results)
+                walls.append(again.wall_time_s)
+        finally:
+            broker.close()
+        # Admission to settle, as the broker measures it: the replays,
+        # merge, report and record, with no poll period in between.
+        assert statistics.median(walls) < 0.05, walls
+
+    def test_capped_tenant_replays_without_waiting(self, tmp_path,
+                                                   monkeypatch):
+        """A tenant capped at one task in flight gets its next task only
+        once the previous one settles.  A replay settles inside the
+        broker thread, so no wake comes: the scheduler must probe the
+        source again after handing over the events, not wait 30 s."""
+        from repro.campaign import scheduler as scheduler_mod
+
+        monkeypatch.setattr(scheduler_mod, "_IDLE_WAIT_S", 30.0)
+        registry = TenantRegistry(
+            overrides={"erin": TenantQuota(max_in_flight=1)})
+        broker = CampaignBroker(
+            workers=2, cache=ArtifactCache(tmp_path / "cache"),
+            tenants=registry).start()
+        try:
+            first = broker.submit(_spec("erin", ["A2"]))
+            _settle(broker, [first])
+            again = broker.submit(_spec("erin", ["A2"]))
+            _settle(broker, [again], timeout_s=10.0)
+        finally:
+            broker.close()
+        assert again.status == "completed"
+        assert len(again.events) > 1
+        assert all(event.from_cache for event in again.events)
+        assert again.wall_time_s < 5.0, again.wall_time_s
+
+    def test_concurrent_submissions_lose_no_wakeup(self, tmp_path,
+                                                    monkeypatch):
+        """More threads than cores submit cache-served and fresh
+        campaigns at once, with a short thread switch interval.  The idle
+        wait is 30 s, so a lost wake-up would strand a campaign."""
+        from repro.campaign import scheduler as scheduler_mod
+
+        monkeypatch.setattr(scheduler_mod, "_IDLE_WAIT_S", 30.0)
+        broker = CampaignBroker(
+            workers=2, cache=ArtifactCache(tmp_path / "cache")).start()
+        interval = sys.getswitchinterval()
+        try:
+            warm = broker.submit(_spec("alice", ["A2"]))
+            _settle(broker, [warm])
+            for depth in (5, 6):
+                # Two replays of the warm campaign, two fresh checks.
+                specs = [_spec("alice", ["A2"]), _spec("bob", ["A2"]),
+                         CampaignSpec(tenant="carol", case_ids=["A2"],
+                                      variants=["fixed"], depth=depth),
+                         CampaignSpec(tenant="dave", case_ids=["E10"],
+                                      variants=list(_VARIANTS),
+                                      depth=depth)]
+                barrier = threading.Barrier(len(specs))
+                submitted = []
+
+                def submit(spec):
+                    barrier.wait(timeout=10.0)
+                    submitted.append(broker.submit(spec))
+
+                threads = [threading.Thread(target=submit, args=(spec,))
+                           for spec in specs]
+                sys.setswitchinterval(1e-5)
+                begin = time.monotonic()
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10.0)
+                    assert not thread.is_alive()
+                sys.setswitchinterval(interval)
+                assert len(submitted) == len(specs)
+                _settle(broker, submitted, timeout_s=10.0)
+                assert time.monotonic() - begin < 10.0
+                assert [c.status for c in submitted] == \
+                    ["completed"] * len(specs)
+        finally:
+            sys.setswitchinterval(interval)
+            broker.close()

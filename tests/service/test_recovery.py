@@ -24,7 +24,7 @@ from repro.campaign.report import verdict_contract
 from repro.service.broker import CampaignBroker, CampaignSpec
 from repro.service.journal import CampaignJournal
 
-_SPEC = {"tenant": "t1", "cases": ["O1"], "variants": ["fixed", "buggy"],
+_SPEC = {"tenant": "t1", "cases": ["E10"], "variants": ["fixed", "buggy"],
          "depth": 4, "frames": 10}
 
 
