@@ -1,30 +1,32 @@
 #!/usr/bin/env python
-"""Formal hot-path benchmark: corpus-wide ``check_all`` before/after.
+"""Formal hot-path benchmark: corpus-wide ``check_all`` and its gate.
 
-This is the gate for the batched-sweep + solver-arena work: it runs every
-corpus design x variant through ``FormalEngine.check_all`` and records
+Runs every corpus design x variant through ``FormalEngine.check_all`` and
+records
 
 * **wall time** of the check phase (frontend/compile time is excluded —
-  the RTL frontend is unchanged by the hot-path work and would only dilute
-  the measurement),
+  the RTL frontend is not on the hot path and would only dilute the
+  measurement),
 * a **verdict digest** — a content hash over every per-property
-  ``(name, kind, status, depth)`` — the bit-identical-verdicts guarantee,
+  ``(name, kind, status, depth)`` — which changes only when a verdict
+  does,
 * **deterministic solver counters** (propagations / conflicts / decisions)
   which are machine-independent, so CI can compare them against a
   checked-in baseline without wall-clock flakiness.
 
 Usage::
 
-    python bench_formal_hotpath.py --record seed          # append an entry
-    python bench_formal_hotpath.py --quick --record seed-quick
-    python bench_formal_hotpath.py --compare              # legacy vs batched
-    python bench_formal_hotpath.py --quick --check        # the CI gate
+    python bench_formal_hotpath.py                   # full corpus, print
+    python bench_formal_hotpath.py --quick --check   # the CI gate
+    python bench_formal_hotpath.py --check           # full-corpus gate
+    python bench_formal_hotpath.py --record LABEL    # append an entry
 
 Entries accumulate in ``BENCH_formal.json`` next to this script — a
-trajectory of measurements, oldest first.  ``--check`` compares an in-run
-legacy-vs-batched A/B (wall-clock ratio, valid because both halves run on
-the same machine in the same process) and the deterministic counters
-against the recorded baseline; it exits non-zero on a >25% regression.
+trajectory of measurements, oldest first.  ``--check`` compares one run
+with the newest entry recorded for the same cases and bounds: the verdict
+digest must be equal and no counter may grow more than 25%.  It exits
+non-zero on either, and also when no entry matches or the matching entry
+holds no digest or no non-zero counter, since then nothing is checked.
 
 Methodology notes live in ``benchmarks/README.md``.
 """
@@ -56,9 +58,6 @@ QUICK_CASE_IDS = ["A1", "A2", "A5", "E10", "O1"]
 #: are deterministic, so any drift at all means the algorithm changed; the
 #: slack only absorbs deliberate small tweaks that were not re-recorded.
 COUNTER_TOLERANCE = 0.25
-#: --check also fails when the in-run batched-vs-legacy speedup falls below
-#: this fraction of the recorded baseline speedup.
-SPEEDUP_TOLERANCE = 0.75
 
 
 def _variant_list(case):
@@ -68,19 +67,8 @@ def _variant_list(case):
     return out
 
 
-def _engine_supports_batched() -> bool:
-    """True once the engine grew the ``batched`` knob (post-refactor)."""
-    import inspect
-    return "batched" in inspect.signature(FormalEngine.__init__).parameters
-
-
-def run_corpus(case_ids, config: EngineConfig, path: str = "auto") -> dict:
-    """Check every selected design x variant; return the measurement dict.
-
-    ``path`` selects the engine orchestration: ``"batched"`` /
-    ``"legacy"`` (post-refactor engines), or ``"auto"`` for whatever the
-    engine does by default (the only choice on the seed code).
-    """
+def run_corpus(case_ids, config: EngineConfig) -> dict:
+    """Check every selected design x variant; return the measurement dict."""
     compile_cache = CompileCache()
     designs = {}
     digest_pairs = []
@@ -95,15 +83,11 @@ def run_corpus(case_ids, config: EngineConfig, path: str = "auto") -> dict:
                 + ft.testbench_sources()
             compiled = compile_cache.get_or_compile(
                 ["\n".join(sources)], case.dut_module)
-            kwargs = {}
-            if path != "auto" and _engine_supports_batched():
-                kwargs["batched"] = (path == "batched")
-            engine = FormalEngine(compiled.system, config, **kwargs)
+            engine = FormalEngine(compiled.system, config)
             begin = time.perf_counter()
             report = engine.check_all()
             wall = time.perf_counter() - begin
-            stats = getattr(engine, "solver_stats", None)
-            stats = dict(stats) if stats else {}
+            stats = engine.solver_stats
             label = f"{case_id}.{variant}"
             # Depth participates only for the exact, trace-backed verdicts;
             # proof-artifact depths (PDR closing frame, induction k) depend
@@ -126,7 +110,6 @@ def run_corpus(case_ids, config: EngineConfig, path: str = "auto") -> dict:
             for key in ("propagations", "conflicts", "decisions"):
                 totals[key] += int(stats.get(key, 0))
     return {
-        "path": path,
         "designs": designs,
         "total_wall_s": round(totals["wall_s"], 3),
         "total_properties": totals["properties"],
@@ -175,6 +158,47 @@ def _latest(trajectory, quick: bool, cases=None, depth=None, frames=None):
     return None
 
 
+def _recorded(entry) -> dict:
+    """An entry's measurement block: ``measured``, where ``--record``
+    writes it, or ``batched`` in entries from the two-path A/B era."""
+    return entry.get("batched") or entry.get("measured") or {}
+
+
+def _baseline_problem(baseline):
+    """Why ``baseline`` cannot gate a run, or None when it can."""
+    if baseline is None:
+        return "no recorded baseline for these cases and bounds"
+    recorded = _recorded(baseline)
+    if not recorded.get("verdict_digest"):
+        return f"baseline {baseline['label']!r} has no verdict digest"
+    if not any(recorded.get("counters", {}).values()):
+        return f"baseline {baseline['label']!r} has no non-zero counter"
+    return None
+
+
+def check(measurement: dict, baseline: dict) -> list:
+    """The regression-gate failures of one run (empty: the gate passes)."""
+    recorded = _recorded(baseline)
+    failures = []
+    if measurement["verdict_digest"] != recorded["verdict_digest"]:
+        def _shape(row):
+            return (row["properties"], row["proven"], row["cex"])
+        now, then = measurement["designs"], recorded.get("designs", {})
+        diverging = [label for label in sorted(set(now) | set(then))
+                     if label not in now or label not in then
+                     or _shape(now[label]) != _shape(then[label])]
+        detail = diverging or "same counts; per-property status differs"
+        failures.append(f"verdict digest differs from "
+                        f"{baseline['label']!r} (diverging designs: "
+                        f"{detail})")
+    for key, base_value in recorded["counters"].items():
+        value = measurement["counters"].get(key, 0)
+        if base_value and value > base_value * (1 + COUNTER_TOLERANCE):
+            failures.append(f"{key} regressed: {value} > "
+                            f"{base_value} +{COUNTER_TOLERANCE:.0%}")
+    return failures
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
@@ -190,17 +214,11 @@ def main(argv=None) -> int:
     parser.add_argument("--record", metavar="LABEL", default=None,
                         help="append a measurement entry to BENCH_formal."
                              "json under this label")
-    parser.add_argument("--path", choices=("auto", "batched", "legacy"),
-                        default="auto",
-                        help="engine orchestration to measure (default: "
-                             "the engine's default)")
-    parser.add_argument("--compare", action="store_true",
-                        help="run legacy and batched back to back, print "
-                             "the speedup and verify identical verdicts")
     parser.add_argument("--check", action="store_true",
-                        help="CI gate: --compare plus a regression check "
-                             "against the recorded baseline (exit 1 on "
-                             ">25%% counter growth or lost speedup)")
+                        help="regression gate against the newest recorded "
+                             "entry for the same cases and bounds (exit 1 "
+                             "on a different verdict digest, >25%% counter "
+                             "growth, or no usable entry)")
     args = parser.parse_args(argv)
 
     if args.cases:
@@ -211,76 +229,19 @@ def main(argv=None) -> int:
         case_ids = [case.case_id for case in CORPUS]
     config = EngineConfig(max_bound=args.depth, max_frames=args.frames)
 
-    if args.compare or args.check:
-        if not _engine_supports_batched():
-            print("engine has no batched/legacy split yet "
-                  "(pre-refactor build)", file=sys.stderr)
+    baseline = None
+    if args.check:
+        baseline = _latest(_load_trajectory(), quick=args.quick,
+                           cases=case_ids, depth=args.depth,
+                           frames=args.frames)
+        problem = _baseline_problem(baseline)
+        if problem:
+            print(f"FAIL: {problem}; nothing to check against",
+                  file=sys.stderr)
             return 1
-        legacy = run_corpus(case_ids, config, path="legacy")
-        batched = run_corpus(case_ids, config, path="batched")
-        speedup = (legacy["total_wall_s"] / batched["total_wall_s"]
-                   if batched["total_wall_s"] else float("inf"))
-        print(f"legacy : {legacy['total_wall_s']:8.2f}s  "
-              f"counters={legacy['counters']}")
-        print(f"batched: {batched['total_wall_s']:8.2f}s  "
-              f"counters={batched['counters']}")
-        print(f"speedup: {speedup:.2f}x  "
-              f"({legacy['total_properties']} properties, "
-              f"{len(legacy['designs'])} design-variants)")
-        if legacy["verdict_digest"] != batched["verdict_digest"]:
-            def _shape(row):
-                return (row["properties"], row["proven"], row["cex"])
-            mism = [label for label in legacy["designs"]
-                    if _shape(legacy["designs"][label])
-                    != _shape(batched["designs"][label])]
-            detail = mism or "same counts; per-property status differs"
-            print(f"FAIL: verdict digests differ "
-                  f"(diverging designs: {detail})", file=sys.stderr)
-            return 1
-        print("verdicts: bit-identical across paths")
-        if args.check:
-            trajectory = _load_trajectory()
-            baseline = _latest(trajectory, quick=args.quick,
-                               cases=case_ids, depth=args.depth,
-                               frames=args.frames)
-            failures = []
-            if baseline is None:
-                print("note: no recorded baseline for this mode; "
-                      "speedup/counter gates skipped")
-            else:
-                base_speedup = baseline.get("speedup")
-                if base_speedup and speedup < base_speedup * \
-                        SPEEDUP_TOLERANCE:
-                    failures.append(
-                        f"speedup regressed: {speedup:.2f}x < "
-                        f"{SPEEDUP_TOLERANCE:.0%} of recorded "
-                        f"{base_speedup:.2f}x")
-                base_counters = (baseline.get("batched") or
-                                 baseline).get("counters", {})
-                for key, base_value in base_counters.items():
-                    now = batched["counters"].get(key, 0)
-                    if base_value and now > base_value * \
-                            (1 + COUNTER_TOLERANCE):
-                        failures.append(
-                            f"{key} regressed: {now} > "
-                            f"{base_value} +{COUNTER_TOLERANCE:.0%}")
-            if failures:
-                for failure in failures:
-                    print(f"FAIL: {failure}", file=sys.stderr)
-                return 1
-            print("regression gate: OK")
-        if args.record:
-            trajectory = _load_trajectory()
-            entry = dict(_entry_meta(args, case_ids), label=args.record,
-                         speedup=round(speedup, 3),
-                         legacy=legacy, batched=batched)
-            trajectory.append(entry)
-            BENCH_JSON.write_text(json.dumps(trajectory, indent=2) + "\n")
-            print(f"recorded -> {BENCH_JSON} (label {args.record!r})")
-        return 0
 
-    measurement = run_corpus(case_ids, config, path=args.path)
-    print(f"{measurement['path']}: {measurement['total_wall_s']:.2f}s, "
+    measurement = run_corpus(case_ids, config)
+    print(f"check_all: {measurement['total_wall_s']:.2f}s, "
           f"{measurement['total_properties']} properties, "
           f"counters={measurement['counters']}")
     print(f"verdict digest: {measurement['verdict_digest'][:16]}...")
@@ -288,13 +249,18 @@ def main(argv=None) -> int:
         print(f"  {label:<12} {row['wall_s']:7.2f}s  "
               f"{row['properties']:>3} props  {row['proven']:>3} proven  "
               f"{row['cex']:>2} cex")
+    if baseline is not None:
+        failures = check(measurement, baseline)
+        if failures:
+            for failure in failures:
+                print(f"FAIL: {failure}", file=sys.stderr)
+            return 1
+        print(f"regression gate: OK against {baseline['label']!r} "
+              f"(counters={_recorded(baseline)['counters']})")
     if args.record:
         trajectory = _load_trajectory()
-        entry = dict(_entry_meta(args, case_ids), label=args.record,
-                     **{measurement["path"]
-                        if measurement["path"] != "auto" else "measured":
-                        measurement})
-        trajectory.append(entry)
+        trajectory.append(dict(_entry_meta(args, case_ids),
+                               label=args.record, measured=measurement))
         BENCH_JSON.write_text(json.dumps(trajectory, indent=2) + "\n")
         print(f"recorded -> {BENCH_JSON} (label {args.record!r})")
     return 0

@@ -109,10 +109,9 @@ class CompiledDesign:
 
         The same compiled design checked repeatedly (per-property tasks of
         one group, warm ``run_fv`` calls, interactive sessions) reuses one
-        engine per (design, engine-config): the batched engine keeps its
-        sweep unroller and L2S compilation warm between
-        ``check_properties`` calls, so the N-th check of a design pays
-        zero re-encoding.  Backed by the module-level
+        engine per (design, engine-config): the engine keeps its sweep
+        unrollers and L2S compilation warm between ``check_properties``
+        calls, so the N-th check of a design pays zero re-encoding.  Backed by the module-level
         :data:`_WARM_ENGINES` LRU — bounded globally, not per design, so
         a process that walks many designs (a sweep loop, a notebook)
         holds a handful of warm engines total, and an engine whose solver

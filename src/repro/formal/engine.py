@@ -15,8 +15,8 @@ covers, liveness and fairness) and returns, per property, one of:
 The engine mirrors the paper's usage model: run everything, report a proof
 rate, and hand short CEX traces to the designer.
 
-**Batched hot path.**  Since the hot-path overhaul the default orchestration
-is *set-at-a-time*, the way production FV tools work on a property set:
+**Set-at-a-time orchestration.**  The engine works on a property set the
+way production FV tools do:
 
 * one :func:`~repro.formal.bmc.bmc_sweep` walks the depths once and decides
   every assert, cover and liveness lasso hunt on a shared unroller —
@@ -31,12 +31,12 @@ is *set-at-a-time*, the way production FV tools work on a property set:
   bound gets its trace regenerated by resuming BMC past the cleared bound
   (``start_depth``), never by re-hunting from zero.
 
-Verdicts and CEX/cover depths are identical to the per-property path (each
-BMC query is an exact decision); proof-artifact depths (PDR closing frame,
-induction k) may differ, as they legitimately depend on solver state.  The
-pre-overhaul orchestration is kept, bit-for-bit, behind
-``FormalEngine(batched=False)`` — the A/B half of
-``benchmarks/bench_formal_hotpath.py`` and the sweep-equivalence tests.
+Statuses and CEX/cover depths do not depend on how a property set is
+grouped (each BMC query is an exact decision, so every CEX and cover
+depth is the minimum); proof-artifact depths (PDR closing frame,
+induction k) may differ, as they legitimately depend on solver state.
+``perfbench/expected/verdicts.json`` freezes the corpus's answers, and
+``tests/integration/test_campaign_corpus.py`` checks them.
 
 Since the ``repro.api`` redesign the engine is the *check* half only: proof
 backends are looked up in the :mod:`repro.formal.engines` registry (so
@@ -208,29 +208,25 @@ class FormalEngine:
     design's property set across workers; :meth:`check_all` is the
     everything-at-once convenience wrapper.
 
-    ``batched=True`` (the default) runs the set-at-a-time hot path and
-    keeps its solver state — sweep unroller, PDR context, L2S compilation —
-    warm on the engine instance, so repeated :meth:`check_properties` calls
-    on one engine (the per-property task path) pay the encoding once.
-    ``batched=False`` reproduces the original property-at-a-time
-    orchestration with throwaway solvers.
+    The engine keeps its solver state — the sweep unrollers and the L2S
+    compilation — warm on the instance, so repeated
+    :meth:`check_properties` calls on one engine (the per-property task
+    path) pay the encoding once.
     """
 
     def __init__(self, system_factory: Callable[[], TransitionSystem],
-                 config: Optional[EngineConfig] = None,
-                 batched: bool = True) -> None:
+                 config: Optional[EngineConfig] = None) -> None:
         self._factory = system_factory
         self.config = config or EngineConfig()
-        self.batched = batched
-        # Warm state (batched mode), created lazily, keyed to this engine.
+        # Warm state, created lazily, keyed to this engine.
         self._probe: Optional[TransitionSystem] = None
         self._hunt: Optional[Unroller] = None
         self._live_system: Optional[TransitionSystem] = None
         self._live_compilation = None
         self._live_hunt: Optional[Unroller] = None
         # Persistent solvers whose counters feed solver_stats; throwaway
-        # solvers (proof backends', legacy-mode hunts) fold their counters
-        # in and are released.
+        # solvers (the proof backends') fold their counters in and are
+        # released.
         self._tracked_solvers: List = []
         self._folded_stats: Dict[str, float] = {}
 
@@ -248,9 +244,9 @@ class FormalEngine:
                context: Optional[ProofContext] = None) -> EngineVerdict:
         """Run a proof backend and fold the counters of its solvers.
 
-        Every proof attempt goes through here, in both orchestrations, so
-        :attr:`solver_stats` (and with it ``CheckReport.solve_time_s``)
-        covers PDR, k-induction and k-liveness solvers, not just the hunt.
+        Every proof attempt goes through here, so :attr:`solver_stats`
+        (and with it ``CheckReport.solve_time_s``) covers PDR, k-induction
+        and k-liveness solvers, not just the hunt.
         """
         verdict = prove_with(engine, system, good_lit, self.config, context)
         self._fold_stats(verdict.solver_stats)
@@ -315,7 +311,7 @@ class FormalEngine:
         start = time.perf_counter()
         stats_before = self.solver_stats
         only = None if names is None else set(names)
-        probe = self._probe_system() if self.batched else self._factory()
+        probe = self._probe_system()
         if only is not None:
             known = {p.name for p in
                      probe.asserts + probe.covers + probe.liveness}
@@ -323,36 +319,28 @@ class FormalEngine:
             if missing:
                 raise KeyError(f"no property named {missing[0]!r}")
         report = CheckReport(design=probe.name)
-        if self.batched:
-            # One sweep decides every assert *and* cover hunt: the
-            # disjunction batching inside bmc_sweep then scales with the
-            # number of failing properties, not the number of properties.
-            safety_props = self._selected(probe.asserts, only)
-            cover_props = self._selected(probe.covers, only)
-            targets = ([SweepTarget(p.name, p.lit, "assert")
-                        for p in safety_props]
-                       + [SweepTarget(p.name, p.lit, "cover")
-                          for p in cover_props])
-            sweep: Dict[str, object] = {}
-            share = 0.0
-            if targets:
-                begin = time.perf_counter()
-                sweep = bmc_sweep(probe, targets, self.config.max_bound,
-                                  unroller=self._hunt_unroller())
-                share = (time.perf_counter() - begin) / len(targets)
-            report.results.extend(
-                self._check_safety(probe, safety_props, sweep, share))
-            report.results.extend(
-                self._check_covers(probe, cover_props, sweep, share))
-            if self._selected(probe.liveness, only):
-                report.results.extend(self._check_liveness(only))
-        else:
-            report.results.extend(self._legacy_check_safety(probe, only))
-            report.results.extend(self._legacy_check_covers(probe, only))
-            if self._selected(probe.liveness, only):
-                live_system = self._factory()
-                report.results.extend(
-                    self._legacy_check_liveness(live_system, only=only))
+        # One sweep decides every assert *and* cover hunt: the disjunction
+        # batching inside bmc_sweep then scales with the number of failing
+        # properties, not the number of properties.
+        safety_props = self._selected(probe.asserts, only)
+        cover_props = self._selected(probe.covers, only)
+        targets = ([SweepTarget(p.name, p.lit, "assert")
+                    for p in safety_props]
+                   + [SweepTarget(p.name, p.lit, "cover")
+                      for p in cover_props])
+        sweep: Dict[str, object] = {}
+        share = 0.0
+        if targets:
+            begin = time.perf_counter()
+            sweep = bmc_sweep(probe, targets, self.config.max_bound,
+                              unroller=self._hunt_unroller())
+            share = (time.perf_counter() - begin) / len(targets)
+        report.results.extend(
+            self._check_safety(probe, safety_props, sweep, share))
+        report.results.extend(
+            self._check_covers(probe, cover_props, sweep, share))
+        if self._selected(probe.liveness, only):
+            report.results.extend(self._check_liveness(only))
         report.total_time_s = time.perf_counter() - start
         stats_after = self.solver_stats
         delta = {key: value - stats_before.get(key, 0)
@@ -378,9 +366,7 @@ class FormalEngine:
     def _selected(props, only) -> List:
         return [p for p in props if only is None or p.name in only]
 
-    # ======================================================================
-    # Batched orchestration (the hot path)
-    # ======================================================================
+    # -- safety -----------------------------------------------------------
     def _check_safety(self, system: TransitionSystem, props,
                       sweep, share: float) -> List[PropertyResult]:
         if not props:
@@ -560,154 +546,6 @@ class FormalEngine:
                              max(proof.cex_depth, self.config.max_bound),
                              property_name=name, unroller=unroller,
                              start_depth=self.config.max_bound + 1)
-            if deep.failed:
-                return PropertyResult(name, "live", CEX, depth=deep.depth,
-                                      trace=self._lasso_trace(deep.trace))
-        return PropertyResult(name, "live", UNKNOWN,
-                              depth=engine.unknown_depth(self.config))
-
-    # ======================================================================
-    # Legacy orchestration (property-at-a-time, throwaway solvers)
-    # ======================================================================
-    # Kept bit-for-bit for the hot-path benchmark's A/B comparison and the
-    # sweep-equivalence tests.  Remove once the batched path has carried a
-    # few releases.
-    def _legacy_check_safety(self, system: TransitionSystem,
-                             only: Optional[set] = None
-                             ) -> List[PropertyResult]:
-        results = []
-        shared = Unroller(system)
-        for prop in self._selected(system.asserts, only):
-            begin = time.perf_counter()
-            result = self._legacy_hunt_then_prove(system, prop.lit,
-                                                  prop.name, "assert",
-                                                  shared)
-            result.time_s = time.perf_counter() - begin
-            results.append(result)
-        self._fold_stats(shared.solver.stats.as_dict())
-        return results
-
-    def _legacy_hunt_then_prove(self, system: TransitionSystem,
-                                assert_lit: int, name: str, kind: str,
-                                shared: Unroller) -> PropertyResult:
-        """BMC bug hunt up to max_bound, then a full proof attempt."""
-        hunt = bmc_safety(system, assert_lit, self.config.max_bound,
-                          property_name=name, unroller=shared)
-        if hunt.failed:
-            return PropertyResult(name, kind, CEX, depth=hunt.depth,
-                                  trace=hunt.trace)
-        engine = get_engine(self.config.proof_engine)
-        verdict = self._prove(engine, system, assert_lit)
-        if verdict.proven:
-            return PropertyResult(name, kind, PROVEN, depth=verdict.depth)
-        if verdict.failed:
-            if verdict.trace is not None:
-                verdict.trace.property_name = name
-                return PropertyResult(name, kind, CEX,
-                                      depth=verdict.cex_depth,
-                                      trace=verdict.trace)
-            deep = bmc_safety(system, assert_lit,
-                              max(verdict.cex_depth, self.config.max_bound),
-                              property_name=name, unroller=shared)
-            if deep.failed:
-                return PropertyResult(name, kind, CEX, depth=deep.depth,
-                                      trace=deep.trace)
-        return PropertyResult(name, kind, UNKNOWN,
-                              depth=engine.unknown_depth(self.config))
-
-    def _legacy_check_covers(self, system: TransitionSystem,
-                             only: Optional[set] = None
-                             ) -> List[PropertyResult]:
-        results = []
-        shared = Unroller(system)
-        for prop in self._selected(system.covers, only):
-            results.append(self._legacy_check_one_cover(system, prop,
-                                                        shared))
-        self._fold_stats(shared.solver.stats.as_dict())
-        return results
-
-    def _legacy_check_one_cover(self, system: TransitionSystem, prop,
-                                shared: Unroller) -> PropertyResult:
-        begin = time.perf_counter()
-        outcome = bmc_cover(system, prop.lit, self.config.max_bound,
-                            property_name=prop.name, unroller=shared)
-        elapsed = time.perf_counter() - begin
-        if outcome.failed:  # "failed" = target reached = covered
-            return PropertyResult(prop.name, "cover", COVERED,
-                                  depth=outcome.depth, trace=outcome.trace,
-                                  time_s=elapsed)
-        if not get_engine(self.config.proof_engine).proves_covers:
-            return PropertyResult(prop.name, "cover", UNKNOWN,
-                                  depth=self.config.max_bound,
-                                  time_s=elapsed)
-        proof = self._prove(get_engine("pdr"), system, prop.lit ^ 1)
-        elapsed = time.perf_counter() - begin
-        if proof.proven:
-            return PropertyResult(prop.name, "cover", UNREACHABLE,
-                                  depth=proof.depth, time_s=elapsed)
-        if proof.failed:
-            deep = bmc_cover(system, prop.lit,
-                             max(proof.cex_depth, self.config.max_bound),
-                             property_name=prop.name, unroller=shared)
-            if deep.failed:
-                return PropertyResult(prop.name, "cover", COVERED,
-                                      depth=deep.depth, trace=deep.trace,
-                                      time_s=time.perf_counter() - begin)
-        return PropertyResult(prop.name, "cover", UNKNOWN,
-                              depth=self.config.max_bound, time_s=elapsed)
-
-    def _legacy_check_liveness(self, system: TransitionSystem,
-                               only: Optional[set] = None
-                               ) -> List[PropertyResult]:
-        compilation = compile_liveness(system)
-        results = []
-        shared = Unroller(system)
-        for name, bad_lit in compilation.bad_lits.items():
-            if only is not None and name not in only:
-                continue
-            begin = time.perf_counter()
-            result = self._legacy_check_one_liveness(system, name, bad_lit,
-                                                     shared)
-            result.time_s = time.perf_counter() - begin
-            results.append(result)
-        self._fold_stats(shared.solver.stats.as_dict())
-        return results
-
-    def _legacy_check_one_liveness(self, system: TransitionSystem,
-                                   name: str, bad_lit: int,
-                                   shared: Unroller) -> PropertyResult:
-        hunt = bmc_cover(system, bad_lit, self.config.max_bound,
-                         property_name=name, unroller=shared)
-        if hunt.failed:  # lasso found: liveness CEX
-            return PropertyResult(name, "live", CEX, depth=hunt.depth,
-                                  trace=self._lasso_trace(hunt.trace))
-        strategy = get_liveness_strategy(self.config.liveness_strategy)
-        if not strategy.proves:
-            return PropertyResult(name, "live", UNKNOWN,
-                                  depth=self.config.max_bound)
-        engine = get_engine(self.config.proof_engine)
-        if engine.liveness_ladder:
-            for rounds in self.config.kliveness_rounds:
-                fresh = self._factory()
-                bad_k = compile_kliveness(fresh, name, rounds)
-                attempt = self._prove(engine, fresh, bad_k ^ 1)
-                if attempt.proven:
-                    return PropertyResult(name, "live", PROVEN,
-                                          depth=attempt.depth)
-                if not attempt.failed:
-                    break  # bound exhausted: a bigger k will not help
-        proof = self._prove(engine, system, bad_lit ^ 1)
-        if proof.proven:
-            return PropertyResult(name, "live", PROVEN, depth=proof.depth)
-        if proof.failed:
-            if proof.trace is not None:
-                proof.trace.property_name = name
-                return PropertyResult(name, "live", CEX,
-                                      depth=proof.cex_depth,
-                                      trace=self._lasso_trace(proof.trace))
-            deep = bmc_cover(system, bad_lit,
-                             max(proof.cex_depth, self.config.max_bound),
-                             property_name=name, unroller=shared)
             if deep.failed:
                 return PropertyResult(name, "live", CEX, depth=deep.depth,
                                       trace=self._lasso_trace(deep.trace))

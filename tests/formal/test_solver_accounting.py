@@ -42,11 +42,10 @@ def solve_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("proof_engine", ["pdr", "kind"])
-@pytest.mark.parametrize("batched", [True, False])
-def test_report_counts_every_solve(tlb, solve_calls, batched, proof_engine):
+def test_report_counts_every_solve(tlb, solve_calls, proof_engine):
     config = EngineConfig(max_bound=8, max_frames=30, max_k=4,
                           proof_engine=proof_engine)
-    engine = FormalEngine(tlb.system, config, batched=batched)
+    engine = FormalEngine(tlb.system, config)
     probe = tlb.system()
     groups = [[p.name for p in probe.asserts],
               [p.name for p in probe.covers + probe.liveness]]

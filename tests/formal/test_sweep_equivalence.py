@@ -1,14 +1,15 @@
-"""Batched-sweep equivalence: bmc_sweep vs per-property BMC, batched vs
-legacy engine orchestration.
+"""Batched-sweep equivalence: bmc_sweep vs per-property BMC, and the
+engine's hand-derived answers on a counter.
 
 The hot-path contract is that batching changes *solver work*, never
 *answers*: every (target, depth) BMC query is decided by the formula, so
 ``bmc_sweep`` must return the verdicts and depths of the per-property
-functions, and the batched engine must report the statuses of the legacy
-property-at-a-time engine.  Trace witnesses are model-dependent (a shared
-solver may find a different — equally valid — model), so traces are
-compared in full only on deterministic systems (no free inputs) and
-structurally elsewhere.
+functions.  Trace witnesses are model-dependent (a shared solver may find
+a different — equally valid — model), so traces are compared in full only
+on deterministic systems (no free inputs) and structurally elsewhere.
+The engine on top of the sweep is checked against answers derived by
+hand; the whole corpus is checked against its frozen answers in
+``tests/integration/test_campaign_corpus.py``.
 """
 
 import pytest
@@ -156,7 +157,26 @@ def _engine_outcome(report):
     return out
 
 
-class TestBatchedVsLegacyEngine:
+#: The answers for TestEngineOnCounter's 4-bit counter at bound 8 and 30
+#: frames: it counts 0, 1, 2, ... and reaches 11 only past the BMC bound.
+#: Under pdr, never11's trace therefore comes from BMC resumed past the
+#: sweep's bound; k-induction's base case returns its own.
+PROVING_OUTCOME = [("never11", "assert", "cex", 11),
+                   ("tautology", "assert", "proven", None),
+                   ("reach6", "cover", "covered", 6),
+                   ("reach_never", "cover", "unreachable", None)]
+KNOWN_OUTCOMES = {
+    "pdr": PROVING_OUTCOME,
+    "kind": PROVING_OUTCOME,
+    # No proof attempts: only the sweep's hunt up to the bound decides.
+    "bmc-only": [("never11", "assert", "unknown", None),
+                 ("tautology", "assert", "unknown", None),
+                 ("reach6", "cover", "covered", 6),
+                 ("reach_never", "cover", "unknown", None)],
+}
+
+
+class TestEngineOnCounter:
     def _factory(self):
         def factory():
             ts, bits = make_counter(width=4)
@@ -169,19 +189,24 @@ class TestBatchedVsLegacyEngine:
             return ts
         return factory
 
-    @pytest.mark.parametrize("proof_engine", ["pdr", "kind", "bmc-only"])
+    @pytest.mark.parametrize("proof_engine", list(KNOWN_OUTCOMES))
     def test_statuses_and_exact_depths_match(self, proof_engine):
+        """Statuses and exact depths are the known answers, and every
+        cex/covered trace counts from 0 up to its reported depth."""
         config = EngineConfig(max_bound=8, max_frames=30,
                               proof_engine=proof_engine)
-        batched = FormalEngine(self._factory(), config,
-                               batched=True).check_all()
-        legacy = FormalEngine(self._factory(), config,
-                              batched=False).check_all()
-        assert _engine_outcome(batched) == _engine_outcome(legacy)
+        report = FormalEngine(self._factory(), config).check_all()
+        assert _engine_outcome(report) == KNOWN_OUTCOMES[proof_engine]
+        for r in report.results:
+            if r.status in ("cex", "covered"):
+                assert r.trace.property_name == r.name
+                assert r.trace.depth == r.depth + 1, r.name
+                assert r.trace.cycles["cnt"] == list(range(r.depth + 1)), \
+                    r.name
 
     def test_repeated_checks_on_warm_engine_stay_identical(self):
-        """A persistent (warm) batched engine must keep answering the
-        same: the per-property task path reuses one engine per design."""
+        """A persistent (warm) engine must keep answering the same: the
+        per-property task path reuses one engine per design."""
         config = EngineConfig(max_bound=8, max_frames=30)
         engine = FormalEngine(self._factory(), config)
         first = _engine_outcome(engine.check_all())
