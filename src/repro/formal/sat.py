@@ -387,13 +387,16 @@ class Solver:
                 watchers[j + 1] = first
                 j += 2
                 if fval == -1:
-                    # Conflict: keep the untraversed tail, stop.
+                    # Conflict: keep the untraversed tail, stop.  The head
+                    # stays on `lit`, whose watch list was only partly
+                    # traversed: a backjump that keeps it (or a batched
+                    # assumption after it) must not mark it processed.
                     while i < num:
                         watchers[j] = watchers[i]
                         j += 1
                         i += 1
                     del watchers[j:]
-                    self._qhead = len(trail)
+                    self._qhead = qhead - 1
                     self.stats.propagations += propagations
                     return c
                 # Clause is unit on `first`: assign inline.
@@ -563,7 +566,11 @@ class Solver:
         del self._trail_lim[level:]
         if len(self._assump_levels) > level:
             del self._assump_levels[level:]
-        self._qhead = len(trail)
+        # Clamp, never advance: a kept level may hold literals that were
+        # established but not yet propagated (batched assumptions, an
+        # UNSAT answer returned mid-establishment).
+        if self._qhead > len(trail):
+            self._qhead = len(trail)
 
     # ------------------------------------------------------------------
     # Decisions
@@ -612,7 +619,9 @@ class Solver:
         re-examined whenever one of its watched literals is assigned —
         implications a kept level "missed" (from clauses learned after it
         was established) surface as ordinary visits or conflicts as soon
-        as search touches them.
+        as search touches them.  That needs every kept literal to be
+        propagated, so backtracking never moves the propagation head past
+        one that was established but not yet propagated.
         """
         begin = time.perf_counter()
         self.stats.solve_calls += 1

@@ -97,6 +97,29 @@ class TestAssumptions:
         a = s.new_var()
         assert not s.solve(assumptions=[a, -a])
 
+    def test_reused_prefix_after_failed_assumption(self):
+        # The first query fails at -c before a and -b are propagated; the
+        # second reuses that prefix and must still see the clause.
+        s = Solver()
+        a, b, c = s.new_var(), s.new_var(), s.new_var()
+        s.add_clause([-a, b])
+        assert not s.solve(assumptions=[a, -b, c, -c])
+        assert not s.solve(assumptions=[a, -b])
+        assert set(s.core) == {a, -b}
+
+    def test_backjump_keeps_unpropagated_assumptions(self):
+        # All four assumptions are established before one propagation
+        # pass.  Propagating -a conflicts on [-c, a, d] and backjumps to
+        # c's level, keeping b and c unpropagated; the next query reuses
+        # [-a, b] and must still see [a, -b].
+        s = Solver()
+        a, b, c, d = (s.new_var() for _ in range(4))
+        s.add_clause([-c, a, d])
+        s.add_clause([a, -b])
+        assert not s.solve(assumptions=[-a, b, c, -d])
+        assert not s.solve(assumptions=[-a, b])
+        assert set(s.core) == {-a, b}
+
     def test_core_is_subset_of_assumptions(self):
         s = Solver()
         a, b, c = s.new_var(), s.new_var(), s.new_var()
